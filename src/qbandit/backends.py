@@ -7,16 +7,18 @@ All three expose the same surface:
 * ``exact_probabilities(circuit, qubits)`` — closed-form distribution,
   or None when the backend cannot provide one (noisy).
 
-The exact-oracle backend never samples: counts are the exact
-distribution apportioned to ``shots`` by largest remainder, and
-frequencies are exact Born probabilities.  It exists for tests and
-shot-free baselines; the ideal backend always samples, as hardware
-would.
+``IdealBackend`` implements all three once, always sampling, as hardware
+would.  The other two subclass it and override two methods each.  The
+exact oracle never samples: ``counts`` apportions the exact distribution
+to ``shots`` by largest remainder and ``frequency`` is the exact Born
+probability; it exists for tests and shot-free baselines.  The noisy
+backend's ``counts`` runs Pauli trajectories, and it has no
+``exact_probabilities``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 from .noise import NoiseConfig, noisy_counts
 from .statevector import (
@@ -30,9 +32,13 @@ from .statevector import (
 )
 
 
-def apportion(probabilities: dict[str, float], shots: int) -> dict[str, int]:
+_Key = TypeVar("_Key", str, int)
+
+
+def apportion(probabilities: dict[_Key, float], shots: int) -> dict[_Key, int]:
     """Largest-remainder rounding of ``probabilities * shots`` to integers
-    that sum exactly to ``shots``; deterministic (ties break on key)."""
+    that sum exactly to ``shots``; deterministic (ties break on key, so
+    keys must be mutually comparable: bitstrings or integers)."""
     items = sorted(probabilities.items())
     raw = [(key, p * shots) for key, p in items]
     counts = {key: int(v) for key, v in raw}
@@ -70,7 +76,7 @@ class IdealBackend:
         return self.counts(circ, shots, seed, qubits=(qubit,)).frequency("1")
 
 
-class ExactOracleBackend:
+class ExactOracleBackend(IdealBackend):
     """Shot-free oracle: exact Born probabilities instead of sampling."""
 
     name = "exact-oracle"
@@ -82,20 +88,14 @@ class ExactOracleBackend:
         seed: int,
         qubits: Iterable[int] | None = None,
     ) -> MeasurementCounts:
-        probs = exact_distribution(_run(circ), qubits)
+        probs = self.exact_probabilities(circ, qubits)
         return MeasurementCounts(apportion(probs, shots), shots)
 
-    def exact_probabilities(
-        self, circ: Circuit, qubits: Iterable[int] | None = None
-    ) -> dict[str, float] | None:
-        return exact_distribution(_run(circ), qubits)
-
     def frequency(self, circ: Circuit, qubit: int, shots: int, seed: int) -> float:
-        probs = exact_distribution(_run(circ), qubits=(qubit,))
-        return probs.get("1", 0.0)
+        return self.exact_probabilities(circ, qubits=(qubit,)).get("1", 0.0)
 
 
-class NoisyBackend:
+class NoisyBackend(IdealBackend):
     """Pauli-trajectory noise plus readout flips around the ideal simulator."""
 
     name = "noisy"
@@ -118,28 +118,20 @@ class NoisyBackend:
     ) -> dict[str, float] | None:
         return None
 
-    def frequency(self, circ: Circuit, qubit: int, shots: int, seed: int) -> float:
-        return self.counts(circ, shots, seed, qubits=(qubit,)).frequency("1")
-
 
 Backend = IdealBackend | ExactOracleBackend | NoisyBackend
 
-_ALIASES = {
-    "ideal": "ideal",
-    "noisy": "noisy",
-    "exact": "exact-oracle",
-    "exact-oracle": "exact-oracle",
+_FACTORIES = {
+    "ideal": lambda noise: IdealBackend(),
+    "noisy": NoisyBackend,
+    "exact": lambda noise: ExactOracleBackend(),
+    "exact-oracle": lambda noise: ExactOracleBackend(),
 }
 
 
 def get_backend(name: str, noise: NoiseConfig | None = None) -> Backend:
-    kind = _ALIASES.get(name)
-    if kind == "ideal":
-        return IdealBackend()
-    if kind == "exact-oracle":
-        return ExactOracleBackend()
-    if kind == "noisy":
-        return NoisyBackend(noise)
-    raise ValueError(
-        f"unknown backend {name!r}; expected one of ideal, noisy, exact-oracle"
-    )
+    if name not in _FACTORIES:
+        raise ValueError(
+            f"unknown backend {name!r}; expected one of ideal, noisy, exact-oracle"
+        )
+    return _FACTORIES[name](noise)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import platform
@@ -164,7 +165,7 @@ def write_manifest(
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list | tuple]) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -178,7 +179,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # train
 
 
-def _training_plots(result: TrainingResult, out_dir: Path) -> list[str]:
+def _write_training(result: TrainingResult, out_dir: Path) -> list[str]:
+    """Write a training run's trace, result and plots; returns their names."""
+    write_trace_csv(result, out_dir / "trace.csv")
+    write_result_json(result, out_dir / "result.json")
     iters = [(e.iteration, e.loss) for e in result.trace]
     curve = line_chart(
         [("loss", iters)],
@@ -198,7 +202,7 @@ def _training_plots(result: TrainingResult, out_dir: Path) -> list[str]:
         ylabel="angle (rad)",
     )
     (out_dir / "parameters.svg").write_text(params)
-    return ["learning_curve.svg", "parameters.svg"]
+    return ["trace.csv", "result.json", "learning_curve.svg", "parameters.svg"]
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -218,9 +222,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = optimize(dataset, train_cfg, backend)
 
-    write_trace_csv(result, out_dir / "trace.csv")
-    write_result_json(result, out_dir / "result.json")
-    outputs = ["trace.csv", "result.json"] + _training_plots(result, out_dir)
+    outputs = _write_training(result, out_dir)
     write_manifest(out_dir, "train", cfg, train_cfg.seed, outputs)
     print(
         f"train: final theta = ({result.final_theta[0]:.4f}, {result.final_theta[1]:.4f}), "
@@ -231,13 +233,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # qpe
-
-
-def _histogram_rows(hist: ValueHistogram) -> list[list]:
-    rows = []
-    for y, v_tilde, count, exact in hist.rows():
-        rows.append([y, v_tilde, count, exact])
-    return rows
 
 
 def _histogram_panel(
@@ -288,6 +283,60 @@ def _resolve_qpe_env(args: argparse.Namespace, cfg: dict) -> BanditParams:
     )
 
 
+def _qpe_grid(
+    out_dir: Path,
+    params: BanditParams,
+    noise: NoiseConfig,
+    backends: list[str],
+    n_values: list[int],
+    policies: list[float],
+    shots: int,
+    base_seed: int,
+) -> tuple[list[str], list[str]]:
+    """Run QPE for every (backend, n, p_left), sub-run i seeded with
+    derive_seed(base_seed, i); each success writes its CSV and a panel of
+    histograms.svg.  Returns (output file names, failure messages)."""
+    outputs: list[str] = []
+    failures: list[str] = []
+    panels: dict[tuple[str, int], list[tuple[str, ValueHistogram]]] = {}
+    grid_points = itertools.product(backends, n_values, policies)
+    for run_index, (backend_name, n, p_left) in enumerate(grid_points):
+        run_id = f"qpe_pleft{p_left:g}_n{n}_{backend_name}"
+        try:
+            qpe_cfg = QpeConfig(
+                n=n,
+                shots=shots,
+                backend=backend_name,
+                noise=noise,
+                seed=derive_seed(base_seed, run_index),
+            )
+            backend = get_backend(backend_name, noise)
+            hist = run_qpe(PolicySpec(p_left), params, qpe_cfg, backend)
+        except (ValueError, ConfigError) as exc:
+            failures.append(f"{run_id}: {exc}")
+            continue
+        csv_path = out_dir / f"{run_id}.csv"
+        _write_csv(csv_path, ["y", "v_tilde", "count", "exact_prob"], hist.rows())
+        outputs.append(csv_path.name)
+        panels.setdefault((backend_name, n), []).append((f"p_left={p_left:g}", hist))
+
+    if panels:
+        grid = [
+            [
+                _histogram_panel(
+                    panels[(b, n)], title=f"{b}, n={n}", shots=shots
+                )
+                for n in n_values
+                if (b, n) in panels
+            ]
+            for b in backends
+            if any((b, n) in panels for n in n_values)
+        ]
+        (out_dir / "histograms.svg").write_text(panel_grid(grid))
+        outputs.append("histograms.svg")
+    return outputs, failures
+
+
 def cmd_qpe(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.backend:
@@ -311,56 +360,9 @@ def cmd_qpe(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
-    failures: list[str] = []
-    panels: dict[tuple[str, int], list[tuple[str, ValueHistogram]]] = {}
-
-    run_index = 0
-    for backend_name in backends:
-        for n in n_values:
-            for p_left in policies:
-                run_id = f"qpe_pleft{p_left:g}_n{n}_{backend_name}"
-                try:
-                    qpe_cfg = QpeConfig(
-                        n=n,
-                        shots=shots,
-                        backend=backend_name,
-                        noise=noise,
-                        seed=derive_seed(base_seed, run_index),
-                    )
-                    backend = get_backend(backend_name, noise)
-                    hist = run_qpe(PolicySpec(p_left), params, qpe_cfg, backend)
-                except (ValueError, ConfigError) as exc:
-                    failures.append(f"{run_id}: {exc}")
-                    run_index += 1
-                    continue
-                csv_path = out_dir / f"{run_id}.csv"
-                _write_csv(
-                    csv_path,
-                    ["y", "v_tilde", "count", "exact_prob"],
-                    _histogram_rows(hist),
-                )
-                outputs.append(csv_path.name)
-                panels.setdefault((backend_name, n), []).append(
-                    (f"p_left={p_left:g}", hist)
-                )
-                run_index += 1
-
-    if panels:
-        grid = [
-            [
-                _histogram_panel(
-                    panels[(b, n)], title=f"{b}, n={n}", shots=shots
-                )
-                for n in n_values
-                if (b, n) in panels
-            ]
-            for b in backends
-            if any((b, n) in panels for n in n_values)
-        ]
-        (out_dir / "histograms.svg").write_text(panel_grid(grid))
-        outputs.append("histograms.svg")
-
+    outputs, failures = _qpe_grid(
+        out_dir, params, noise, backends, n_values, policies, shots, base_seed
+    )
     write_manifest(out_dir, "qpe", cfg, base_seed, outputs)
     for failure in failures:
         print(f"qpe: sub-run failed: {failure}", file=sys.stderr)
@@ -463,12 +465,9 @@ def _reproduce_training(out_dir: Path) -> None:
         run_dir.mkdir(parents=True, exist_ok=True)
         dataset = synthesize_dataset(f_left, f_right, 10000, seed=data_seed)
         write_dataset(dataset, run_dir / "dataset.jsonl")
-        cfg = dict(DEFAULT_CONFIG["train"])
-        cfg["seed"] = train_seed
-        result = optimize(dataset, TrainConfig(**{**cfg, "initial_theta": tuple(cfg["initial_theta"])}), get_backend("ideal"))
-        write_trace_csv(result, run_dir / "trace.csv")
-        write_result_json(result, run_dir / "result.json")
-        _training_plots(result, run_dir)
+        train_cfg = _train_config_from({"train": {**DEFAULT_CONFIG["train"], "seed": train_seed}})
+        result = optimize(dataset, train_cfg, get_backend("ideal"))
+        _write_training(result, run_dir)
         summary.append(
             [
                 label,
@@ -483,40 +482,6 @@ def _reproduce_training(out_dir: Path) -> None:
         ["run", "theta_left_final", "theta_right_final", "theta_left_closed_form", "theta_right_closed_form"],
         summary,
     )
-
-
-def _reproduce_histograms(out_dir: Path, seed: int = 100) -> None:
-    params = BanditParams(angle_from_frequency(0.7), angle_from_frequency(0.2))
-    noise = NoiseConfig()
-    shots = 300
-    panels = []
-    run_index = 0
-    for backend_name in ("ideal", "noisy"):
-        row = []
-        for n in (3, 4):
-            runs = []
-            for p_left in (0.5, 0.0):
-                qpe_cfg = QpeConfig(
-                    n=n,
-                    shots=shots,
-                    backend=backend_name,
-                    noise=noise,
-                    seed=derive_seed(seed, run_index),
-                )
-                hist = run_qpe(
-                    PolicySpec(p_left), params, qpe_cfg, get_backend(backend_name, noise)
-                )
-                run_id = f"qpe_pleft{p_left:g}_n{n}_{backend_name}"
-                _write_csv(
-                    out_dir / f"{run_id}.csv",
-                    ["y", "v_tilde", "count", "exact_prob"],
-                    _histogram_rows(hist),
-                )
-                runs.append((f"p_left={p_left:g}", hist))
-                run_index += 1
-            row.append(_histogram_panel(runs, f"{backend_name}, n={n}", shots))
-        panels.append(row)
-    (out_dir / "histograms.svg").write_text(panel_grid(panels))
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -536,7 +501,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         seed = 0
     elif args.figure == "qpe-histograms":
         seed = 100
-        _reproduce_histograms(out_dir, seed)
         cfg = {
             "figure": args.figure,
             "policies": [0.5, 0.0],
@@ -545,6 +509,16 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             "shots": 300,
             "env": {"win_left": 0.7, "win_right": 0.2},
         }
+        params = BanditParams(
+            angle_from_frequency(cfg["env"]["win_left"]),
+            angle_from_frequency(cfg["env"]["win_right"]),
+        )
+        _, failures = _qpe_grid(
+            out_dir, params, NoiseConfig(), cfg["backends"], cfg["n"],
+            cfg["policies"], cfg["shots"], seed,
+        )
+        if failures:
+            raise ValueError("; ".join(failures))
     else:  # scaling
         ns = argparse.Namespace(v=0.45, n_range="3..8", seed=7, out=str(out_dir))
         return cmd_baseline(ns)

@@ -22,6 +22,9 @@ from .statevector import (
     Gate,
     MeasurementCounts,
     _apply_gate_inplace,
+    _bitstring,
+    _draw,
+    _marginal,
     derive_seed,
     unitary,
     x,
@@ -76,7 +79,6 @@ def run_trajectory(
     readout flips apply to those bits.
     """
     n = circ.num_qubits
-    qs = tuple(range(n)) if qubits is None else tuple(qubits)
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     amps = np.zeros(2**n, dtype=complex)
@@ -90,21 +92,13 @@ def run_trajectory(
             if u < rate:
                 _apply_gate_inplace(amps, n, _pauli_gate(int(rng.integers(3)), qubit))
 
-    probs = np.abs(amps) ** 2
-    idx = np.arange(probs.size, dtype=np.intp)
-    out = np.zeros(probs.size, dtype=np.intp)
-    for j, q in enumerate(qs):
-        out |= ((idx >> q) & 1) << j
-    marg = np.bincount(out, weights=probs, minlength=2 ** len(qs))
-    cdf = np.cumsum(marg)
-    cdf[-1] = 1.0
-    m = int(np.searchsorted(cdf, rng.random(), side="right"))
-
-    flips = rng.random(len(qs)) < config.readout_flip
+    marg = _marginal(amps, n, qubits)
+    m = int(_draw(marg, rng.random(1))[0])
+    flips = rng.random(marg.size.bit_length() - 1) < config.readout_flip
     for j, flip in enumerate(flips):
         if flip:
             m ^= 1 << j
-    return format(m, f"0{len(qs)}b")
+    return _bitstring(m, marg)
 
 
 def noisy_counts(

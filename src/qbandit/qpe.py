@@ -23,16 +23,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends import Backend, ExactOracleBackend, IdealBackend, apportion, get_backend
+from .backends import Backend, ExactOracleBackend, apportion, get_backend
 from .bandit import ACTION_QUBIT, REWARD_QUBIT, BanditParams, PolicySpec
 from .bandit import build_environment_circuit, build_policy_circuit
 from .noise import NoiseConfig
 from .statevector import (
     Circuit,
     Gate,
+    apply_circuit,
     circuit_unitary,
+    exact_distribution,
     h,
     inverse_circuit,
+    new_state,
     phase,
     swap,
     x,
@@ -237,9 +240,11 @@ class ValueHistogram:
         return out
 
 
-def _fold_distribution(raw: dict[str, float], n: int) -> dict[int, float]:
+def _fold(outcomes: dict[str, float], n: int) -> dict[int, float]:
+    """Sum register outcomes (bitstring keys, counts or probabilities) onto
+    their folded grid point y in [0, 2^(n-1)]."""
     folded: dict[int, float] = {}
-    for bits, weight in raw.items():
+    for bits, weight in outcomes.items():
         y = fold_outcome(int(bits, 2), n)
         folded[y] = folded.get(y, 0) + weight
     return folded
@@ -264,24 +269,18 @@ def run_qpe(
     circ = build_qpe_circuit(q_op, config.n)
     register = eval_qubits(config.n)
 
-    raw_exact = backend.exact_probabilities(circ, qubits=register)
-    exact = None if raw_exact is None else _fold_distribution(raw_exact, config.n)
-    counts: dict[int, int] = {}
+    exact = backend.exact_probabilities(circ, qubits=register)
+    if exact is not None:
+        exact = _fold(exact, config.n)
     if isinstance(backend, ExactOracleBackend):
         # Oracle mode: the histogram is the folded exact distribution
-        # apportioned to the shot count, no sampling anywhere.
-        assert exact is not None
-        counts = {
-            int(key): c
-            for key, c in apportion(
-                {f"{y:05d}": p for y, p in sorted(exact.items())}, config.shots
-            ).items()
-        }
+        # apportioned to the shot count, no sampling anywhere.  Folding
+        # after apportioning the raw outcomes would let a bin drift a
+        # count or more from p * shots.
+        counts = apportion(exact, config.shots)
     else:
         measured = backend.counts(circ, config.shots, config.seed, qubits=register)
-        for bits, c in measured.counts.items():
-            y = fold_outcome(int(bits, 2), config.n)
-            counts[y] = counts.get(y, 0) + c
+        counts = _fold(measured.counts, config.n)
     return ValueHistogram(
         n=config.n,
         total_shots=config.shots,
@@ -299,6 +298,5 @@ def exact_value_distribution(
     prep = build_state_prep(policy, params)
     q_op = build_grover_operator(prep)
     circ = build_qpe_circuit(q_op, n)
-    probs = IdealBackend().exact_probabilities(circ, qubits=eval_qubits(n))
-    assert probs is not None
-    return _fold_distribution(probs, n)
+    state = apply_circuit(new_state(circ.num_qubits), circ)
+    return _fold(exact_distribution(state, eval_qubits(n)), n)

@@ -14,6 +14,7 @@ All operations are pure: they take a state in and return a new one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -226,17 +227,12 @@ def new_state(num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-_index_cache: dict[tuple[int, tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def _gate_rows(num_qubits: int, targets: tuple[int, ...], controls: tuple[int, ...]) -> np.ndarray:
     """Index table for a gate: rows[b] lists the basis indices whose target
     bits spell b (targets[0] least significant) and whose control bits are
-    all 1.  Cached per (register, targets, controls) signature."""
-    key = (num_qubits, targets, controls)
-    cached = _index_cache.get(key)
-    if cached is not None:
-        return cached
+    all 1.  Cached per (register, targets, controls) signature; the rows
+    are read-only, so every caller can share them."""
     fixed = set(targets) | set(controls)
     free = [q for q in range(num_qubits) if q not in fixed]
     base = np.zeros(2 ** len(free), dtype=np.intp)
@@ -250,9 +246,6 @@ def _gate_rows(num_qubits: int, targets: tuple[int, ...], controls: tuple[int, .
         offset = sum(((b >> j) & 1) << t for j, t in enumerate(targets))
         rows[b] = base + offset
     rows.setflags(write=False)
-    if len(_index_cache) > 4096:
-        _index_cache.clear()
-    _index_cache[key] = rows
     return rows
 
 
@@ -288,15 +281,35 @@ def circuit_unitary(circ: Circuit) -> np.ndarray:
     return mat
 
 
-def _marginal(state: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
-    """Born probabilities marginalized onto ``qubits``; outcome m has bit j
-    equal to the measured value of qubits[j]."""
-    probs = state.probabilities()
+def _marginal(
+    amps: np.ndarray, num_qubits: int, qubits: Iterable[int] | None = None
+) -> np.ndarray:
+    """Born probabilities of ``amps`` marginalized onto ``qubits`` (default:
+    all); outcome m has bit j equal to the measured value of qubits[j].
+    Every readout path comes through here to have its subset checked."""
+    qs = tuple(range(num_qubits)) if qubits is None else tuple(qubits)
+    if not qs or len(set(qs)) != len(qs) or not all(0 <= q < num_qubits for q in qs):
+        raise SimulationError(
+            f"qubit subset {qs} must be non-empty, distinct and within the {num_qubits}-qubit register"
+        )
+    probs = np.abs(amps) ** 2
     idx = np.arange(probs.size, dtype=np.intp)
-    out = np.zeros(len(idx), dtype=np.intp)
-    for j, q in enumerate(qubits):
+    out = np.zeros(probs.size, dtype=np.intp)
+    for j, q in enumerate(qs):
         out |= ((idx >> q) & 1) << j
-    return np.bincount(out, weights=probs, minlength=2 ** len(qubits))
+    return np.bincount(out, weights=probs, minlength=2 ** len(qs))
+
+
+def _draw(marg: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling: the outcome index each uniform in [0, 1) selects."""
+    cdf = np.cumsum(marg)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, uniforms, side="right")
+
+
+def _bitstring(outcome: int, marg: np.ndarray) -> str:
+    """Outcome index of ``marg`` rendered with one character per measured qubit."""
+    return format(int(outcome), f"0{marg.size.bit_length() - 1}b")
 
 
 def exact_distribution(
@@ -307,18 +320,8 @@ def exact_distribution(
     Keys are bitstrings with qubits[0] rightmost; zero-probability
     outcomes are omitted.
     """
-    qs = tuple(range(state.num_qubits)) if qubits is None else tuple(qubits)
-    if not qs:
-        raise SimulationError("qubit subset must be non-empty")
-    if any(q < 0 or q >= state.num_qubits for q in qs):
-        raise SimulationError(f"qubits {qs} outside register of {state.num_qubits}")
-    if len(set(qs)) != len(qs):
-        raise SimulationError(f"duplicate qubits in subset {qs}")
-    marg = _marginal(state, qs)
-    width = len(qs)
-    return {
-        format(m, f"0{width}b"): float(p) for m, p in enumerate(marg) if p > 0.0
-    }
+    marg = _marginal(state.amps, state.num_qubits, qubits)
+    return {_bitstring(m, marg): float(p) for m, p in enumerate(marg) if p > 0.0}
 
 
 @dataclass(frozen=True)
@@ -346,15 +349,10 @@ def sample_counts(
     """
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
-    qs = tuple(range(state.num_qubits)) if qubits is None else tuple(qubits)
-    marg = _marginal(state, qs)
-    cdf = np.cumsum(marg)
-    cdf[-1] = 1.0
+    marg = _marginal(state.amps, state.num_qubits, qubits)
     uniforms = np.random.Generator(np.random.Philox(key=seed)).random(shots)
-    outcomes = np.searchsorted(cdf, uniforms, side="right")
-    width = len(qs)
-    values, reps = np.unique(outcomes, return_counts=True)
-    counts = {format(int(m), f"0{width}b"): int(c) for m, c in zip(values, reps)}
+    values, reps = np.unique(_draw(marg, uniforms), return_counts=True)
+    counts = {_bitstring(m, marg): int(c) for m, c in zip(values, reps)}
     return MeasurementCounts(counts, shots)
 
 
