@@ -121,7 +121,7 @@ class NoisyBackend(IdealBackend):
 
 Backend = IdealBackend | ExactOracleBackend | NoisyBackend
 
-_FACTORIES = {
+BACKENDS = {
     "ideal": lambda noise: IdealBackend(),
     "noisy": NoisyBackend,
     "exact": lambda noise: ExactOracleBackend(),
@@ -130,8 +130,6 @@ _FACTORIES = {
 
 
 def get_backend(name: str, noise: NoiseConfig | None = None) -> Backend:
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of ideal, noisy, exact-oracle"
-        )
-    return _FACTORIES[name](noise)
+    if not isinstance(name, str) or name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r}; expected one of {', '.join(BACKENDS)}")
+    return BACKENDS[name](noise)

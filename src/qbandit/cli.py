@@ -1,8 +1,8 @@
 """Command-line front end: train / qpe / baseline / reproduce workflows.
 
 Configuration is a single JSON document with sections (backend, noise,
-train, qpe, policy, env, output_dir); command-line flags override
-config fields, which override built-in defaults.  Every run writes its
+train, qpe, policy, env); command-line flags override config fields,
+which override built-in defaults.  Every run writes its
 artifacts plus a manifest.json (seed, versions, config hash) that
 suffices to re-run bit-identically on the ideal backend.  SVG plots are
 rendered from the already-written CSV data, never the other way round.
@@ -16,19 +16,21 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import platform
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .backends import get_backend
+from .backends import BACKENDS, get_backend
 from .bandit import BanditParams, PolicySpec, angle_from_frequency
 from .baseline import mc_samples_needed, monte_carlo_estimate, qpe_qsample_count
 from .noise import NoiseConfig
 from .qpe import QpeConfig, ValueHistogram, error_bound, run_qpe
-from .statevector import derive_seed
+from .statevector import check_number, derive_seed
 from .svg import bar_chart, line_chart, panel_grid
 from .training import (
     DatasetError,
@@ -49,20 +51,11 @@ class ConfigError(ValueError):
 
 DEFAULT_CONFIG: dict = {
     "backend": "ideal",
-    "noise": {"p1": 5e-4, "p2": 5e-3, "readout_flip": 5e-3, "seed": 0},
-    "train": {
-        "shots_per_eval": 8000,
-        "max_iterations": 100,
-        "initial_theta": [math.pi / 2, math.pi / 2],
-        "rho_start": 0.5,
-        "rho_end": 1e-3,
-        "seed": 0,
-        "optimizer": "cobyla",
-    },
+    "noise": asdict(NoiseConfig()),
+    "train": asdict(TrainConfig()),
     "qpe": {"n": 3, "shots": 300, "seed": 0},
     "policy": {"p_left": 0.5},
     "env": None,
-    "output_dir": None,
 }
 
 FIGURE_IDS = ("training-curves", "qpe-histograms", "scaling")
@@ -74,7 +67,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config field: {where}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            _require(isinstance(value, dict), where, f"expected an object, got {value!r}")
             merged[key] = _merge(base[key], value, where)
         else:
             merged[key] = value
@@ -82,8 +76,9 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 def load_config(path: str | None) -> dict:
+    defaults = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
+        return defaults
     file = Path(path)
     if not file.exists():
         raise ConfigError(f"config file not found: {file}")
@@ -93,7 +88,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config {file} is not valid JSON: {exc.msg}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config {file} must hold a JSON object")
-    return _merge(DEFAULT_CONFIG, user)
+    return _merge(defaults, user)
 
 
 def _require(condition: bool, field: str, message: str) -> None:
@@ -101,38 +96,21 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
-def _noise_from(cfg: dict) -> NoiseConfig:
-    section = cfg["noise"]
-    for key in section:
-        _require(key in DEFAULT_CONFIG["noise"], f"noise.{key}", "unknown field")
+def _number(value, field: str, kind: type):
+    """``value`` itself once it is a number of ``kind``; else a ConfigError."""
     try:
-        return NoiseConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"noise: {exc}") from exc
+        check_number(field, value, kind)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return value
 
 
-def _train_config_from(cfg: dict) -> TrainConfig:
-    section = dict(cfg["train"])
-    for key in section:
-        _require(key in DEFAULT_CONFIG["train"], f"train.{key}", "unknown field")
-    section["initial_theta"] = tuple(section["initial_theta"])
+def _section(cls: type, cfg: dict, name: str):
+    """Build ``cls`` from config section ``name``; errors become ConfigErrors."""
     try:
-        return TrainConfig(**section)
+        return cls(**cfg[name])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train: {exc}") from exc
-
-
-def _resolve_env(cfg: dict) -> BanditParams | str | None:
-    env = cfg["env"]
-    if env is None:
-        return None
-    if env == "from-training":
-        return "from-training"
-    if isinstance(env, dict) and set(env) == {"theta_left", "theta_right"}:
-        return BanditParams(float(env["theta_left"]), float(env["theta_right"]))
-    raise ConfigError(
-        "env: expected {'theta_left': ..., 'theta_right': ...} or 'from-training'"
-    )
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _as_list(value) -> list:
@@ -214,8 +192,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
 
-    train_cfg = _train_config_from(cfg)
-    backend = get_backend(cfg["backend"], _noise_from(cfg))
+    train_cfg = _section(TrainConfig, cfg, "train")
+    backend = get_backend(cfg["backend"], _section(NoiseConfig, cfg, "noise"))
     dataset = load_dataset(args.data)
 
     out_dir = Path(args.out)
@@ -275,11 +253,16 @@ def _resolve_qpe_env(args: argparse.Namespace, cfg: dict) -> BanditParams:
         payload = json.loads(result_file.read_text())
         theta = payload["final_theta"]
         return BanditParams(float(theta[0]), float(theta[1]))
-    env = _resolve_env(cfg)
-    if isinstance(env, BanditParams):
-        return env
-    raise ConfigError(
-        "env: provide --theta-left/--theta-right, --from, or an env config section"
+    env = cfg["env"]
+    _require(
+        isinstance(env, dict) and set(env) == {"theta_left", "theta_right"},
+        "env",
+        "provide --theta-left/--theta-right, --from, or an env config section"
+        f" {{'theta_left': ..., 'theta_right': ...}}, not {env!r}",
+    )
+    return BanditParams(
+        float(_number(env["theta_left"], "env.theta_left", numbers.Real)),
+        float(_number(env["theta_right"], "env.theta_right", numbers.Real)),
     )
 
 
@@ -310,8 +293,7 @@ def _qpe_grid(
                 noise=noise,
                 seed=derive_seed(base_seed, run_index),
             )
-            backend = get_backend(backend_name, noise)
-            hist = run_qpe(PolicySpec(p_left), params, qpe_cfg, backend)
+            hist = run_qpe(PolicySpec(p_left), params, qpe_cfg)
         except (ValueError, ConfigError) as exc:
             failures.append(f"{run_id}: {exc}")
             continue
@@ -351,11 +333,13 @@ def cmd_qpe(args: argparse.Namespace) -> int:
         cfg["policy"]["p_left"] = args.policy_left
 
     params = _resolve_qpe_env(args, cfg)
-    noise = _noise_from(cfg)
-    base_seed = int(cfg["qpe"]["seed"])
-    shots = int(cfg["qpe"]["shots"])
-    policies = [float(p) for p in _as_list(cfg["policy"]["p_left"])]
-    n_values = [int(n) for n in _as_list(cfg["qpe"]["n"])]
+    noise = _section(NoiseConfig, cfg, "noise")
+    base_seed = _number(cfg["qpe"]["seed"], "qpe.seed", numbers.Integral)
+    shots = _number(cfg["qpe"]["shots"], "qpe.shots", numbers.Integral)
+    policies = [
+        float(_number(p, "policy.p_left", numbers.Real)) for p in _as_list(cfg["policy"]["p_left"])
+    ]
+    n_values = [_number(n, "qpe.n", numbers.Integral) for n in _as_list(cfg["qpe"]["n"])]
     backends = [str(b) for b in _as_list(cfg["backend"])]
 
     out_dir = Path(args.out)
@@ -465,7 +449,7 @@ def _reproduce_training(out_dir: Path) -> None:
         run_dir.mkdir(parents=True, exist_ok=True)
         dataset = synthesize_dataset(f_left, f_right, 10000, seed=data_seed)
         write_dataset(dataset, run_dir / "dataset.jsonl")
-        train_cfg = _train_config_from({"train": {**DEFAULT_CONFIG["train"], "seed": train_seed}})
+        train_cfg = TrainConfig(**{**DEFAULT_CONFIG["train"], "seed": train_seed})
         result = optimize(dataset, train_cfg, get_backend("ideal"))
         _write_training(result, run_dir)
         summary.append(
@@ -546,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--config", help="experiment config JSON")
     train.add_argument("--shots", type=int, help="shots per arm per evaluation")
     train.add_argument("--seed", type=int)
-    train.add_argument("--backend", choices=["ideal", "noisy", "exact", "exact-oracle"])
+    train.add_argument("--backend", choices=list(BACKENDS))
     train.add_argument("--out", required=True, help="output directory")
     train.set_defaults(func=cmd_train)
 
@@ -557,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     qpe.add_argument("--theta-left", type=float, dest="theta_left")
     qpe.add_argument("--theta-right", type=float, dest="theta_right")
     qpe.add_argument("--from", dest="from_dir", help="training output directory")
-    qpe.add_argument("--backend", choices=["ideal", "noisy", "exact", "exact-oracle"])
+    qpe.add_argument("--backend", choices=list(BACKENDS))
     qpe.add_argument("--seed", type=int)
     qpe.add_argument("--config", help="experiment config JSON")
     qpe.add_argument("--out", required=True)

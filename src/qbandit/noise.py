@@ -13,33 +13,28 @@ chosen so that deeper circuits visibly degrade more.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .statevector import (
     Circuit,
-    Gate,
     MeasurementCounts,
-    _apply_gate_inplace,
+    _apply_matrix,
     _bitstring,
     _draw,
     _marginal,
+    check_number,
     derive_seed,
-    unitary,
-    x,
-    z,
+    new_state,
 )
 
-_Y_MATRIX = np.array([[0, -1j], [1j, 0]], dtype=complex)
-
-
-def _pauli_gate(index: int, qubit: int) -> Gate:
-    if index == 0:
-        return x(qubit)
-    if index == 1:
-        return unitary(_Y_MATRIX, [qubit])
-    return z(qubit)
+# The Pauli error with index i: X, Y, Z.
+_PAULIS = np.array(
+    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
+)
+_PAULIS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -54,16 +49,10 @@ class NoiseConfig:
     def __post_init__(self):
         for name in ("p1", "p2", "readout_flip"):
             value = getattr(self, name)
+            check_number(name, value, numbers.Real)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-    def to_dict(self) -> dict:
-        return {
-            "p1": self.p1,
-            "p2": self.p2,
-            "readout_flip": self.readout_flip,
-            "seed": self.seed,
-        }
+        check_number("seed", self.seed)
 
 
 def run_trajectory(
@@ -81,16 +70,15 @@ def run_trajectory(
     n = circ.num_qubits
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = 1.0
+    amps = new_state(n).amps
     for gate in circ.gates:
-        _apply_gate_inplace(amps, n, gate)
+        _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls)
         touched = gate.qubits
         rate = config.p1 if len(touched) == 1 else config.p2
         draws = rng.random(len(touched))
         for qubit, u in zip(touched, draws):
             if u < rate:
-                _apply_gate_inplace(amps, n, _pauli_gate(int(rng.integers(3)), qubit))
+                _apply_matrix(amps, n, _PAULIS[rng.integers(3)], (qubit,), ())
 
     marg = _marginal(amps, n, qubits)
     m = int(_draw(marg, rng.random(1))[0])

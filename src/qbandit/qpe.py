@@ -31,6 +31,7 @@ from .statevector import (
     Circuit,
     Gate,
     apply_circuit,
+    check_number,
     circuit_unitary,
     exact_distribution,
     h,
@@ -203,6 +204,8 @@ class QpeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "shots", "seed"):
+            check_number(name, getattr(self, name))
         if not 1 <= self.n <= MAX_EVAL_QUBITS:
             raise ValueError(f"n must be in [1, {MAX_EVAL_QUBITS}], got {self.n}")
         if self.shots < 1:

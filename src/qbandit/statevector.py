@@ -9,13 +9,18 @@ Conventions used throughout the package:
 * For multi-target gates, ``targets[0]`` is the least-significant bit of
   the gate-matrix index.
 
+Each gate resolves its matrix once, when it is constructed, and every
+amplitude update (ideal gates, the noise path's Pauli errors and
+``circuit_unitary``) goes through one kernel, ``_apply_matrix``.
+
 All operations are pure: they take a state in and return a new one.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -32,6 +37,23 @@ _SWAP = np.array(
 )
 
 
+def _ry(theta: float) -> np.ndarray:
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+# kind -> the gate's matrix, built from its params; UNITARY takes its
+# matrix from the payload instead.
+_MATRICES = {
+    "X": lambda: _X,
+    "RY": _ry,
+    "H": lambda: _H,
+    "PHASE": lambda phi: np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex),
+    "Z": lambda: _Z,
+    "SWAP": lambda: _SWAP,
+}
+
+
 def derive_seed(*parts: int) -> int:
     """Deterministically derive a child seed from integer components.
 
@@ -46,13 +68,22 @@ class SimulationError(ValueError):
     """Raised for invalid circuits, gates, or simulator inputs."""
 
 
+def check_number(name: str, value, kind: type = numbers.Integral) -> None:
+    """Raise ValueError unless ``value`` is a ``kind`` (numbers.Integral or
+    numbers.Real).  Bools are refused; numpy scalars are accepted."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Gate:
     """One elementary unitary on named qubits, with optional controls.
 
     ``kind`` is one of X, RY, H, PHASE, Z, SWAP, UNITARY.  Rotation and
     phase gates carry their angle in ``params``; UNITARY carries an
-    explicit matrix on up to 3 target qubits.
+    explicit matrix on up to 3 target qubits.  ``matrix`` is the
+    read-only dense matrix on the targets (controls not included),
+    resolved once at construction.
     """
 
     kind: str
@@ -60,6 +91,7 @@ class Gate:
     controls: tuple[int, ...] = ()
     params: tuple[float, ...] = ()
     payload: np.ndarray | None = field(default=None, compare=False)
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.targets) & set(self.controls):
@@ -68,47 +100,33 @@ class Gate:
             )
         if len(set(self.targets)) != len(self.targets):
             raise SimulationError(f"duplicate target qubits: {self.targets}")
-        arity = {"X": 1, "RY": 1, "H": 1, "PHASE": 1, "Z": 1, "SWAP": 2}
-        if self.kind in arity and len(self.targets) != arity[self.kind]:
-            raise SimulationError(
-                f"{self.kind} takes {arity[self.kind]} target(s), got {self.targets}"
-            )
         if self.kind == "UNITARY":
             if self.payload is None:
                 raise SimulationError("UNITARY gate needs a matrix payload")
             if len(self.targets) > 3:
                 raise SimulationError("UNITARY supports at most 3 target qubits")
-            m = np.asarray(self.payload, dtype=complex)
-            dim = 2 ** len(self.targets)
-            if m.shape != (dim, dim):
-                raise SimulationError(
-                    f"matrix shape {m.shape} does not fit {len(self.targets)} target(s)"
-                )
+            # A copy, so a later write to the caller's array cannot undo
+            # the unitarity check below.
+            m = np.array(self.payload, dtype=complex)
+        elif self.kind in _MATRICES:
+            try:
+                m = _MATRICES[self.kind](*self.params)
+            except TypeError as exc:
+                raise SimulationError(f"{self.kind} gate cannot take params {self.params}") from exc
+        else:
+            raise SimulationError(f"unknown gate kind {self.kind!r}")
+        dim = 2 ** len(self.targets)
+        if m.shape != (dim, dim):
+            raise SimulationError(
+                f"{self.kind} matrix shape {m.shape} does not fit targets {self.targets}"
+            )
+        if self.kind == "UNITARY":
             err = np.abs(m.conj().T @ m - np.eye(dim)).max()
             if err > 1e-12:
                 raise SimulationError(f"matrix is not unitary (deviation {err:.2e})")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense matrix on the target qubits (controls not included)."""
-        if self.kind == "X":
-            return _X
-        if self.kind == "RY":
-            (theta,) = self.params
-            c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        if self.kind == "H":
-            return _H
-        if self.kind == "PHASE":
-            (phi,) = self.params
-            return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex)
-        if self.kind == "Z":
-            return _Z
-        if self.kind == "SWAP":
-            return _SWAP
-        if self.kind == "UNITARY":
-            return np.asarray(self.payload, dtype=complex)
-        raise SimulationError(f"unknown gate kind {self.kind!r}")
+            object.__setattr__(self, "payload", m)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -116,26 +134,13 @@ class Gate:
         return self.targets + self.controls
 
     def adjoint(self) -> Gate:
-        if self.kind == "RY":
-            return Gate("RY", self.targets, self.controls, (-self.params[0],))
-        if self.kind == "PHASE":
-            return Gate("PHASE", self.targets, self.controls, (-self.params[0],))
-        if self.kind == "UNITARY":
-            return Gate(
-                "UNITARY", self.targets, self.controls, payload=self.matrix.conj().T
-            )
-        # X, H, Z, SWAP are self-adjoint
-        return self
+        """Inverse gate: angles negated, payload conjugate-transposed."""
+        payload = None if self.payload is None else self.payload.conj().T
+        return replace(self, params=tuple(-p for p in self.params), payload=payload)
 
     def controlled(self, *extra_controls: int) -> Gate:
         """Same gate with additional control qubits."""
-        return Gate(
-            self.kind,
-            self.targets,
-            self.controls + tuple(extra_controls),
-            self.params,
-            payload=self.payload,
-        )
+        return replace(self, controls=self.controls + tuple(extra_controls))
 
 
 def x(target: int, *, controls: Iterable[int] = ()) -> Gate:
@@ -163,7 +168,7 @@ def swap(a: int, b: int, *, controls: Iterable[int] = ()) -> Gate:
 
 
 def unitary(matrix: np.ndarray, targets: Iterable[int], *, controls: Iterable[int] = ()) -> Gate:
-    return Gate("UNITARY", tuple(targets), tuple(controls), payload=np.asarray(matrix, dtype=complex))
+    return Gate("UNITARY", tuple(targets), tuple(controls), payload=matrix)
 
 
 @dataclass(frozen=True)
@@ -249,11 +254,17 @@ def _gate_rows(num_qubits: int, targets: tuple[int, ...], controls: tuple[int, .
     return rows
 
 
-def _apply_gate_inplace(amps: np.ndarray, num_qubits: int, gate: Gate) -> None:
-    # Works for flat amplitude vectors and for (dim, dim) matrices whose
-    # columns are states, as used by circuit_unitary.
-    rows = _gate_rows(num_qubits, gate.targets, gate.controls)
-    amps[rows] = np.tensordot(gate.matrix, amps[rows], axes=(1, 0))
+def _apply_matrix(
+    amps: np.ndarray,
+    num_qubits: int,
+    matrix: np.ndarray,
+    targets: tuple[int, ...],
+    controls: tuple[int, ...],
+) -> None:
+    """The one amplitude update: ``matrix`` on ``targets`` wherever every
+    control is 1, written in place into the flat vector ``amps``."""
+    rows = _gate_rows(num_qubits, targets, controls)
+    amps[rows] = matrix @ amps[rows]
 
 
 def apply_circuit(state: StateVector, circ: Circuit) -> StateVector:
@@ -265,20 +276,19 @@ def apply_circuit(state: StateVector, circ: Circuit) -> StateVector:
         )
     amps = state.amps.copy()
     for gate in circ.gates:
-        _apply_gate_inplace(amps, state.num_qubits, gate)
+        _apply_matrix(amps, state.num_qubits, gate.matrix, gate.targets, gate.controls)
     return StateVector(state.num_qubits, amps)
 
 
 def circuit_unitary(circ: Circuit) -> np.ndarray:
-    """Dense matrix of the whole circuit, column by column.
+    """Dense matrix of the whole circuit: column j is the circuit applied
+    to basis state j.
 
     Intended for verification on small registers; O(4^n * gates).
     """
-    dim = 2**circ.num_qubits
-    mat = np.eye(dim, dtype=complex)
-    for gate in circ.gates:
-        _apply_gate_inplace(mat, circ.num_qubits, gate)
-    return mat
+    n = circ.num_qubits
+    basis = np.eye(2**n, dtype=complex)
+    return np.column_stack([apply_circuit(StateVector(n, e), circ).amps for e in basis])
 
 
 def _marginal(

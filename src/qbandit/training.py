@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 from .backends import Backend, IdealBackend
 from .bandit import REWARD_QUBIT, Arm, BanditParams, build_arm_circuit
 from .optimizers import OPTIMIZERS
-from .statevector import derive_seed
+from .statevector import check_number, derive_seed
 
 
 class DatasetError(ValueError):
@@ -75,6 +76,16 @@ class TrainConfig:
     optimizer: str = "cobyla"
 
     def __post_init__(self):
+        for name in ("shots_per_eval", "max_iterations", "seed"):
+            check_number(name, getattr(self, name))
+        for name in ("rho_start", "rho_end"):
+            check_number(name, getattr(self, name), numbers.Real)
+        theta = self.initial_theta
+        if not isinstance(theta, (tuple, list)) or len(theta) != 2:
+            raise ValueError(f"initial_theta must be two angles, got {theta!r}")
+        for angle in theta:
+            check_number("initial_theta", angle, numbers.Real)
+        object.__setattr__(self, "initial_theta", tuple(theta))
         if self.shots_per_eval < 1:
             raise ValueError(f"shots_per_eval must be >= 1, got {self.shots_per_eval}")
         if self.max_iterations < 1:
