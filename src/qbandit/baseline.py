@@ -16,6 +16,7 @@ import numpy as np
 
 from .bandit import BanditParams, PolicySpec, reward_probability
 from .qpe import qsample_count
+from .statevector import check_seed
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,7 @@ def monte_carlo_estimate(
     """Mean reward over ``num_samples`` i.i.d. episodes."""
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    check_seed("seed", seed, key=True)
     rng = np.random.Generator(np.random.Philox(key=seed))
     pick_left = rng.random(num_samples) < policy.p_left
     win_prob = np.where(

@@ -335,6 +335,7 @@ def cmd_qpe(args: argparse.Namespace) -> int:
     params = _resolve_qpe_env(args, cfg)
     noise = _section(NoiseConfig, cfg, "noise")
     base_seed = _number(cfg["qpe"]["seed"], "qpe.seed", numbers.Integral)
+    _require(base_seed >= 0, "qpe.seed", f"must be non-negative, got {base_seed}")
     shots = _number(cfg["qpe"]["shots"], "qpe.shots", numbers.Integral)
     policies = [
         float(_number(p, "policy.p_left", numbers.Real)) for p in _as_list(cfg["policy"]["p_left"])
@@ -374,6 +375,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     n_values = _parse_n_range(args.n_range)
     _require(bool(n_values), "n-range", "empty range")
     seed = args.seed if args.seed is not None else 0
+    _require(seed >= 0, "seed", f"must be non-negative, got {seed}")
     confidence = 8.0 / math.pi**2
 
     out_dir = Path(args.out)

@@ -7,15 +7,33 @@ with probability ``readout_flip``.  Averaged over trajectories this
 realizes a depolarizing channel — note the convention: error
 probability p applies ONE Pauli, so p = 3/4 is maximal mixing.
 
-Every shot has its own Philox stream.  A shot first draws all of its
-randomness from that stream, in the order a gate-by-gate loop would:
-per gate one uniform per touched qubit and one ``integers(3)`` per
+Every shot has its own Philox stream, and the counts a seed gives are
+those of a gate-by-gate loop that draws from
+``np.random.Generator(np.random.Philox(key))``: per gate one ``random``
+uniform per touched qubit and one ``integers(3)`` Pauli index per
 uniform below the rate, then one uniform for the measurement and one
-per measured bit for the readout flips.  The shots then go through the
-circuit together, one state per column, in chunks of at most
-``_CHUNK_AMPS`` amplitudes: each gate is one update of the whole chunk
-and each error one update of its shot's column.  So the counts a seed
-gives are those of running the shots one at a time.
+per measured bit for the readout flips.  Philox is counter-based
+(Salmon et al., SC'11), so a shot decodes those draws itself from the
+stream's raw 64-bit words (``random_raw``, read in refills of at most
+``_WINDOW`` words), by numpy's rules:
+
+* a uniform is one word w: ``(w >> 11) * 2**-53``;
+* a Pauli index is Lemire's multiply-shift (ACM TOMACS 2019) on a 32-bit
+  half x: ``(x * 3) >> 32``.  A draw takes the low half of a fresh word
+  and leaves the high half for the shot's next Pauli draw, in whatever
+  gate that comes; uniforms never use a left half.  The draw is redone
+  on the next half when ``(x * 3) & 0xFFFFFFFF == 0``, that is x = 0.
+
+``tests/helpers.reference_trajectory`` is the gate-by-gate loop, drawing
+from numpy's ``Generator``, and the tests hold the two to the same
+counts; ``tests/test_noise_decode.py`` also feeds both hand-built words.
+
+The shots then go through the circuit together, one state per column,
+in chunks of at most ``_CHUNK_AMPS`` amplitudes.  Each gate is one
+``_apply_matrix`` on the whole chunk.  A gate's Pauli errors are one
+update of the columns they hit: a Pauli string only permutes amplitudes
+and multiplies them by ±1 or ±i, so this is exact.  The readout is one
+marginal, one draw and one XOR of the flipped bits for the whole chunk.
 
 Default rates are invented (no hardware calibration behind them),
 chosen so that deeper circuits visibly degrade more.
@@ -27,7 +45,7 @@ import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -38,24 +56,32 @@ from .statevector import (
     _bitstring,
     _draw,
     _marginal,
+    _subset,
     check_number,
+    check_seed,
     derive_seed,
     new_state,
 )
 
-# The Pauli error with index i: X, Y, Z.
+# The Pauli error with index i: X, Y, Z, as the gate-by-gate reference
+# in the tests applies them.
 _PAULIS = np.array(
     [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
 )
 _PAULIS.setflags(write=False)
 
+# The same Paulis as signed permutations of a qubit's basis states,
+# (flip, negate, factor): P|b> = factor * (-1)**(negate * b) |b ^ flip>.
+# The batched update applies them in this form.
+_SIGNED_PERMUTATIONS = ((1, 0, 1), (1, 1, 1j), (0, 1, 1))
+_SIGNS = np.array([1, -1])  # (-1)**parity
+
 # A chunk of shots holds at most this many amplitudes (16 MB of
 # complex128), so memory does not grow with shots or register width.
 _CHUNK_AMPS = 2**20
 
-# A shot draws its error uniforms in windows of at most this many
-# slots, so its draws stay linear in the gate count whatever the rates.
-_WINDOW = 256
+# A shot reads its raw words at most this many at a time.
+_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -73,65 +99,135 @@ class NoiseConfig:
             check_number(name, value, numbers.Real)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        check_number("seed", self.seed)
+        check_seed("seed", self.seed)
 
 
 @dataclass(frozen=True)
 class _Slots:
     """One slot per (gate, touched qubit), in the order a shot draws its
-    error uniforms: the gate's error rate, the gate's index, the qubit,
-    ``end`` (one past the last slot of the slot's gate) and ``stop`` (one
-    past the last slot of a window that starts at this slot).
-
-    A window reaches about one expected error ahead, at most ``_WINDOW``
-    slots, rounded up to a whole gate.
-    """
+    error uniforms: the gate's error rate, the gate's index, the qubit
+    and ``end``, one past the last slot of the slot's gate."""
 
     rate: np.ndarray
     gate: list[int]
     qubit: list[int]
     end: list[int]
-    stop: list[int]
 
     @classmethod
     def of(cls, circ: Circuit, config: NoiseConfig) -> _Slots:
-        widths = [len(gate.qubits) for gate in circ.gates]
-        gate = np.repeat(np.arange(len(widths)), widths)
-        rate = np.repeat(np.array([config.p1 if k == 1 else config.p2 for k in widths]), widths)
-        end = np.cumsum(widths, dtype=np.intp)[gate]
-        hazard = np.concatenate(([0.0], np.cumsum(rate)))
-        reach = np.searchsorted(hazard, hazard[:-1] + 1.0)
-        reach = np.minimum(reach, np.minimum(np.arange(rate.size) + _WINDOW, rate.size))
-        qubits = [q for g in circ.gates for q in g.qubits]
-        return cls(rate, gate.tolist(), qubits, end.tolist(), end[reach - 1].tolist())
+        rate, gate, qubit, end = [], [], [], []
+        for g, op in enumerate(circ.gates):
+            touched = op.qubits
+            rate += [config.p1 if len(touched) == 1 else config.p2] * len(touched)
+            gate += [g] * len(touched)
+            qubit += touched
+            end += [len(qubit)] * len(touched)
+        return cls(np.array(rate), gate, qubit, end)
 
 
-def _draw_errors(rng: np.random.Generator, slots: _Slots) -> list[tuple[int, int, int]]:
-    """One shot's Pauli errors as (gate, qubit, Pauli index).
+class _Philox:
+    """Philox streams by key from one bit generator.  Re-keying it starts
+    a stream as ``np.random.Philox(key=key)`` would, at about a sixth of
+    the cost: that constructor first gathers OS entropy for a seed that
+    the key then replaces."""
 
-    Uniforms are drawn a window at a time.  When one falls below its rate
-    in a gate before the window's last, the stream is rewound and re-drawn
-    to the end of that gate.  The gate's ``integers(3)`` draws follow, so
-    the stream is consumed word for word as a gate-by-gate loop would.
+    # Any fixed seed will do, since every stream is re-keyed before use;
+    # a prebuilt one spares the constructor the OS entropy as well.
+    _SEED = np.random.SeedSequence(0)
+
+    def __init__(self):
+        self._bitgen = np.random.Philox(self._SEED)
+        self._start = self._bitgen.state  # counter 0, nothing buffered
+
+    def raw(self, key: int) -> Callable[[int], np.ndarray]:
+        """``random_raw`` of ``key``'s stream, good until the next call."""
+        high, low = divmod(int(key), 2**64)
+        self._start["state"]["key"] = np.array([low, high], dtype=np.uint64)
+        self._bitgen.state = self._start
+        return self._bitgen.random_raw
+
+
+class _Stream:
+    """One shot's Philox words, decoded as numpy's ``Generator`` would
+    draw from them (see the module docstring)."""
+
+    def __init__(self, raw: Callable[[int], np.ndarray], window: int):
+        self._raw = raw  # the next k raw words of the stream
+        self._window = window  # words per read
+        self._words = np.empty(0, dtype=np.uint64)  # read from the stream
+        self._uniforms = np.empty(0)  # the same words as uniforms
+        self._next = 0  # the first word not yet used
+        self._half = None  # the high half a Pauli draw left over
+
+    def _refill(self) -> None:
+        self._words = np.concatenate((self._words[self._next :], self._raw(self._window)))
+        self._uniforms = (self._words >> 11) * 2.0**-53
+        self._next = 0
+
+    def ahead(self) -> np.ndarray:
+        """The words read but not yet used, at least one, as uniforms."""
+        if self._next == len(self._words):
+            self._refill()
+        return self._uniforms[self._next :]
+
+    def uniforms(self, k: int) -> np.ndarray:
+        """Use the next ``k`` words as uniforms."""
+        while len(self._words) - self._next < k:
+            self._refill()
+        self._next += k
+        return self._uniforms[self._next - k : self._next]
+
+    def pauli(self) -> int:
+        """A Pauli index: one ``integers(3)`` draw."""
+        while True:
+            if self._half is None:
+                if self._next == len(self._words):
+                    self._refill()
+                word = int(self._words[self._next])
+                self._next += 1
+                x, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                x, self._half = self._half, None
+            if (x * 3) & 0xFFFFFFFF:
+                return (x * 3) >> 32
+
+
+def _errors(stream: _Stream, slots: _Slots) -> list[tuple[int, int]]:
+    """One shot's Pauli errors as (slot, Pauli index), in stream order.
+
+    The words already read are scanned as uniforms up to the first one
+    below its rate.  That slot's gate is then used up to its end, and
+    its Pauli draws follow, so later uniforms start after them.
     """
     errors = []
     pos = 0
-    while pos < len(slots.stop):
-        stop = slots.stop[pos]
-        # A window of one gate is never rewound, so it needs no snapshot.
-        saved = rng.bit_generator.state if stop > slots.end[pos] else None
-        hits = pos + np.flatnonzero(rng.random(stop - pos) < slots.rate[pos:stop])
-        if hits.size:
-            end = slots.end[hits[0]]
-            if end < stop:
-                rng.bit_generator.state = saved
-                rng.random(end - pos)
-                hits = hits[hits < end]
-            stop = end
-        for s in hits:
-            errors.append((slots.gate[s], slots.qubit[s], int(rng.integers(3))))
-        pos = stop
+    while pos < len(slots.rate):
+        ahead = stream.ahead()[: len(slots.rate) - pos]
+        below = ahead < slots.rate[pos : pos + len(ahead)]
+        first = pos + int(below.argmax())
+        if not below[first - pos]:
+            stream.uniforms(len(ahead))
+            pos += len(ahead)
+            continue
+        end = slots.end[first]
+        drawn = stream.uniforms(end - pos)
+        for s in range(first, end):
+            if drawn[s - pos] < slots.rate[s]:
+                errors.append((s, stream.pauli()))
+        pos = end
     return errors
+
+
+def _apply_paulis(amps: np.ndarray, hits: dict[int, list]) -> None:
+    """One gate's Pauli errors on a batch of states, in place.  ``hits``
+    maps a column to its Pauli string as [flipped bits, negated bits,
+    factor]: amplitude k of the column becomes factor * (-1)**parity(src
+    & negated) * amplitude src, where src = k ^ flipped."""
+    flip, negate, factor = zip(*hits.values())
+    src = np.arange(len(amps))[:, None] ^ np.array(flip)
+    sign = _SIGNS[np.bitwise_count(src & np.array(negate)) & 1]
+    cols = list(hits)
+    amps[:, cols] = amps[src, cols] * (sign * np.array(factor))
 
 
 def _trajectories(
@@ -145,30 +241,33 @@ def _trajectories(
     n = circ.num_qubits
     ground = new_state(n).amps
     slots = _Slots.of(circ, config)
-    qubits = None if qubits is None else tuple(qubits)
-    # Checks the subset before any work, and counts the measured bits.
-    num_bits = _marginal(ground, n, qubits).size.bit_length() - 1
+    qubits = _subset(n, qubits)  # checked before any work
+    philox = _Philox()
+    # A shot without errors uses one word per slot and 1 + len(qubits) for
+    # its readout; eight more cover a few Pauli draws.
+    window = min(_WINDOW, len(slots.rate) + len(qubits) + 9)
     keys = iter(keys)
     while chunk := list(islice(keys, max(1, _CHUNK_AMPS >> n))):
-        errors = defaultdict(list)  # gate -> [(column, qubit, Pauli index)]
-        readout = []  # per column: measurement uniform, then flip uniforms
+        errors = defaultdict(dict)  # gate -> {column: Pauli string}
+        readout = np.empty((len(chunk), 1 + len(qubits)))  # measurement, then flips
         for col, key in enumerate(chunk):
-            rng = np.random.Generator(np.random.Philox(key=key))
-            for g, qubit, pauli in _draw_errors(rng, slots):
-                errors[g].append((col, qubit, pauli))
-            readout.append(rng.random(1 + num_bits))
+            stream = _Stream(philox.raw(key), window)
+            for s, pauli in _errors(stream, slots):
+                flip, negate, factor = _SIGNED_PERMUTATIONS[pauli]
+                string = errors[slots.gate[s]].setdefault(col, [0, 0, 1])
+                string[0] |= flip << slots.qubit[s]
+                string[1] |= negate << slots.qubit[s]
+                string[2] *= factor
+            readout[col] = stream.uniforms(1 + len(qubits))
         amps = np.repeat(ground[:, None], len(chunk), axis=1)
         for g, gate in enumerate(circ.gates):
             _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls)
-            for col, qubit, pauli in errors.get(g, ()):
-                _apply_matrix(amps[:, col], n, _PAULIS[pauli], (qubit,), ())
-        for col, u in enumerate(readout):
-            marg = _marginal(amps[:, col], n, qubits)
-            m = int(_draw(marg, u[:1])[0])
-            for j, flip in enumerate(u[1:] < config.readout_flip):
-                if flip:
-                    m ^= 1 << j
-            yield _bitstring(m, marg)
+            if g in errors:
+                _apply_paulis(amps, errors[g])
+        marg = _marginal(amps, n, qubits)
+        flips = (readout[:, 1:] < config.readout_flip) @ (1 << np.arange(len(qubits)))
+        for m in _draw(marg, readout[:, 0]) ^ flips:
+            yield _bitstring(m, marg[:, 0])
 
 
 def run_trajectory(
@@ -184,7 +283,7 @@ def run_trajectory(
     normalized.  Only the listed qubits are measured (default: all);
     readout flips apply to those bits.
     """
-    check_number("seed", seed)
+    check_seed("seed", seed, key=True)
     return next(_trajectories(circ, config, (seed,), qubits))
 
 
@@ -198,7 +297,7 @@ def noisy_counts(
     """Aggregate independent trajectories; trajectory i is keyed by
     (config.seed, seed, i), so runs are reproducible shot by shot."""
     check_number("shots", shots)
-    check_number("seed", seed)
+    check_seed("seed", seed)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     keys = (derive_seed(config.seed, seed, i) for i in range(shots))

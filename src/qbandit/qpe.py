@@ -32,6 +32,7 @@ from .statevector import (
     Gate,
     apply_circuit,
     check_number,
+    check_seed,
     circuit_unitary,
     exact_distribution,
     h,
@@ -204,8 +205,9 @@ class QpeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "shots", "seed"):
+        for name in ("n", "shots"):
             check_number(name, getattr(self, name))
+        check_seed("seed", self.seed)
         if not 1 <= self.n <= MAX_EVAL_QUBITS:
             raise ValueError(f"n must be in [1, {MAX_EVAL_QUBITS}], got {self.n}")
         if self.shots < 1:

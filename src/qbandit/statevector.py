@@ -10,9 +10,10 @@ Conventions used throughout the package:
   the gate-matrix index.
 
 Each gate resolves its matrix once, when it is constructed, and every
-amplitude update (ideal gates, the noise path's Pauli errors and
-``circuit_unitary``) goes through one kernel, ``_apply_matrix``, which
-takes one state or a batch of states held as columns.
+gate (ideal circuits, noisy trajectories and ``circuit_unitary``) goes
+through one kernel, ``_apply_matrix``, which takes one state or a batch
+of states held as columns.  The marginal and the sampler take a batch
+too, one state and one uniform per column.
 
 All operations are pure: they take a state in and return a new one.
 """
@@ -62,7 +63,7 @@ def derive_seed(*parts: int) -> int:
     trajectory its own reproducible random stream.
     """
     for i, part in enumerate(parts):
-        check_number(f"seed part {i}", part)
+        check_seed(f"seed part {i}", part)
     seq = np.random.SeedSequence([int(p) for p in parts])
     return int(seq.generate_state(1, np.uint64)[0])
 
@@ -76,6 +77,17 @@ def check_number(name: str, value, kind: type = numbers.Integral) -> None:
     numbers.Real).  Bools are refused; numpy scalars are accepted."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+
+
+def check_seed(name: str, value, key: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a non-negative integer, as
+    ``check_number`` reads one.  A ``key``, used as a Philox key itself
+    rather than hashed into one, must also be below 2**128."""
+    check_number(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    if key and value >= 2**128:
+        raise ValueError(f"{name} must be below 2**128, got {value}")
 
 
 @dataclass(frozen=True)
@@ -316,30 +328,61 @@ def circuit_unitary(circ: Circuit) -> np.ndarray:
     return _apply_gates(np.eye(2**circ.num_qubits, dtype=complex), circ)
 
 
-def _marginal(
-    amps: np.ndarray, num_qubits: int, qubits: Iterable[int] | None = None
-) -> np.ndarray:
-    """Born probabilities of ``amps`` marginalized onto ``qubits`` (default:
-    all); outcome m has bit j equal to the measured value of qubits[j].
-    Every readout path comes through here to have its subset checked."""
+def _subset(num_qubits: int, qubits: Iterable[int] | None) -> tuple[int, ...]:
+    """The measured qubits (default: all), checked: non-empty, distinct
+    and within the register."""
     qs = tuple(range(num_qubits)) if qubits is None else tuple(qubits)
     if not qs or len(set(qs)) != len(qs) or not all(0 <= q < num_qubits for q in qs):
         raise SimulationError(
             f"qubit subset {qs} must be non-empty, distinct and within the {num_qubits}-qubit register"
         )
-    probs = np.abs(amps) ** 2
-    idx = np.arange(probs.size, dtype=np.intp)
-    out = np.zeros(probs.size, dtype=np.intp)
-    for j, q in enumerate(qs):
+    return qs
+
+
+@functools.lru_cache(maxsize=64)
+def _outcomes(num_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """out[k] is the outcome basis index k reads on ``qubits``: bit j is
+    the value of qubits[j].  Cached and read-only, like ``_gate_rows``."""
+    idx = np.arange(2**num_qubits, dtype=np.intp)
+    out = np.zeros(2**num_qubits, dtype=np.intp)
+    for j, q in enumerate(qubits):
         out |= ((idx >> q) & 1) << j
-    return np.bincount(out, weights=probs, minlength=2 ** len(qs))
+    out.setflags(write=False)
+    return out
+
+
+def _marginal(
+    amps: np.ndarray, num_qubits: int, qubits: Iterable[int] | None = None
+) -> np.ndarray:
+    """Born probabilities of ``amps`` marginalized onto ``qubits`` (default:
+    all); outcome m has bit j equal to the measured value of qubits[j].
+    For a batch ``(2**n, B)`` of states, column c of the result is the
+    marginal of column c.  Every readout path comes through here to have
+    its subset checked."""
+    qs = _subset(num_qubits, qubits)
+    probs = np.abs(amps) ** 2
+    out = _outcomes(num_qubits, qs)
+    if amps.ndim == 1:
+        return np.bincount(out, weights=probs, minlength=2 ** len(qs))
+    # Column c of outcome m is bin m * B + c.  bincount adds each bin's
+    # terms in index order, so every column sums as it would alone.
+    cols = amps.shape[1]
+    out = (out[:, None] * cols + np.arange(cols)).ravel()
+    marg = np.bincount(out, weights=probs.ravel(), minlength=2 ** len(qs) * cols)
+    return marg.reshape(-1, cols)
 
 
 def _draw(marg: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling: the outcome index each uniform in [0, 1) selects."""
-    cdf = np.cumsum(marg)
+    """Inverse-CDF sampling: the outcome index each uniform in [0, 1)
+    selects.  A batch ``(outcomes, B)`` of marginals takes one uniform per
+    column."""
+    cdf = np.cumsum(marg, axis=0)
     cdf[-1] = 1.0
-    return np.searchsorted(cdf, uniforms, side="right")
+    if marg.ndim == 1:
+        return np.searchsorted(cdf, uniforms, side="right")
+    # searchsorted's answer: the CDF values at or below the uniform.  Only
+    # the last can break the order, and it is 1.0, above every uniform.
+    return (cdf <= uniforms).sum(axis=0)
 
 
 def _bitstring(outcome: int, marg: np.ndarray) -> str:
@@ -383,7 +426,7 @@ def sample_counts(
     inverse CDF, so results do not depend on evaluation order.
     """
     check_number("shots", shots)
-    check_number("seed", seed)
+    check_seed("seed", seed, key=True)
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
     marg = _marginal(state.amps, state.num_qubits, qubits)

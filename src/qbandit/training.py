@@ -10,9 +10,11 @@ angles) until the evaluation budget is spent.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +23,7 @@ import numpy as np
 from .backends import Backend, IdealBackend
 from .bandit import REWARD_QUBIT, Arm, BanditParams, build_arm_circuit
 from .optimizers import OPTIMIZERS
-from .statevector import check_number, derive_seed
+from .statevector import check_number, check_seed, derive_seed
 
 
 class DatasetError(ValueError):
@@ -34,19 +36,23 @@ class TransitionDataset:
 
     records: tuple[tuple[Arm, int], ...]
 
+    @functools.cached_property
+    def _tallies(self) -> tuple[dict[Arm, int], dict[Arm, int]]:
+        """(pulls, wins) per arm, counted once per dataset."""
+        pulls = {Arm.LEFT: 0, Arm.RIGHT: 0}
+        wins = {Arm.LEFT: 0, Arm.RIGHT: 0}
+        for (arm, reward), count in Counter(self.records).items():
+            pulls[arm] += count
+            wins[arm] += reward * count
+        return pulls, wins
+
     @property
     def pulls(self) -> dict[Arm, int]:
-        tally = {Arm.LEFT: 0, Arm.RIGHT: 0}
-        for arm, _ in self.records:
-            tally[arm] += 1
-        return tally
+        return dict(self._tallies[0])
 
     @property
     def wins(self) -> dict[Arm, int]:
-        tally = {Arm.LEFT: 0, Arm.RIGHT: 0}
-        for arm, reward in self.records:
-            tally[arm] += reward
-        return tally
+        return dict(self._tallies[1])
 
     def __len__(self) -> int:
         return len(self.records)
@@ -76,8 +82,9 @@ class TrainConfig:
     optimizer: str = "cobyla"
 
     def __post_init__(self):
-        for name in ("shots_per_eval", "max_iterations", "seed"):
+        for name in ("shots_per_eval", "max_iterations"):
             check_number(name, getattr(self, name))
+        check_seed("seed", self.seed)
         for name in ("rho_start", "rho_end"):
             check_number(name, getattr(self, name), numbers.Real)
         theta = self.initial_theta
@@ -169,6 +176,7 @@ def synthesize_dataset(
     f_left: float, f_right: float, pulls_per_arm: int, seed: int
 ) -> TransitionDataset:
     """Draw a balanced Bernoulli dataset with the given win probabilities."""
+    check_seed("seed", seed, key=True)
     rng = np.random.Generator(np.random.Philox(key=seed))
     records: list[tuple[Arm, int]] = []
     for arm, f in ((Arm.LEFT, f_left), (Arm.RIGHT, f_right)):

@@ -1,12 +1,15 @@
-"""Check that `qbandit reproduce` writes the same bytes as at another revision.
+"""Check that `qbandit reproduce` and the demos give the same bytes as at
+another revision.
 
 Usage: python tools/reproduce_diff.py BASE_REV
 
 Exports BASE_REV with `git archive` into a temporary directory, runs every
-`reproduce` figure on that tree and on the working tree with this
-interpreter (PYTHONPATH=<tree>/src), and compares every output file byte
-for byte, manifests included.  Prints each path that differs or exists on
-one side only, and exits 1 if there is any, 0 otherwise.
+`reproduce` figure and every `demos/*.py` script on that tree and on the
+working tree with this interpreter (PYTHONPATH=<tree>/src), and compares
+every output file, manifests included, and each demo's standard output
+byte for byte.  Prints each path that differs or exists on one side only
+(a demo as `demos/<name>.py:stdout`), and exits 1 if there is any, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -41,6 +44,18 @@ def reproduce(tree: Path, out: Path) -> None:
         )
 
 
+def demos(tree: Path, cwd: Path) -> dict[str, bytes]:
+    """Each demo's standard output, run from ``cwd``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    cwd.mkdir()
+    return {
+        f"demos/{demo.name}:stdout": subprocess.run(
+            [sys.executable, str(demo)], cwd=cwd, env=env, check=True, stdout=subprocess.PIPE
+        ).stdout
+        for demo in sorted((tree / "demos").glob("*.py"))
+    }
+
+
 def files(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -55,11 +70,12 @@ def main(argv: list[str]) -> int:
         export(argv[0], base_tree)
         reproduce(base_tree, tmp_path / "base-out")
         reproduce(REPO, tmp_path / "work-out")
-        base, work = files(tmp_path / "base-out"), files(tmp_path / "work-out")
+        base = {**files(tmp_path / "base-out"), **demos(base_tree, tmp_path / "base-demos")}
+        work = {**files(tmp_path / "work-out"), **demos(REPO, tmp_path / "work-demos")}
     differing = sorted(p for p in base.keys() | work.keys() if base.get(p) != work.get(p))
     for path in differing:
         print(path)
-    print(f"{len(differing)} of {len(base.keys() | work.keys())} output files differ from {argv[0]}")
+    print(f"{len(differing)} of {len(base.keys() | work.keys())} outputs differ from {argv[0]}")
     return 1 if differing else 0
 
 
