@@ -16,7 +16,7 @@ import numpy as np
 
 from .bandit import BanditParams, PolicySpec, reward_probability
 from .qpe import qsample_count
-from .statevector import check_seed
+from .statevector import _PHILOX, check_number, check_seed
 
 
 @dataclass(frozen=True)
@@ -29,18 +29,20 @@ class McEstimate:
 def monte_carlo_estimate(
     policy: PolicySpec, params: BanditParams, num_samples: int, seed: int
 ) -> McEstimate:
-    """Mean reward over ``num_samples`` i.i.d. episodes."""
+    """Mean reward over ``num_samples`` i.i.d. episodes.  Episode i picks
+    its arm with uniform i of the Philox stream keyed by ``seed`` and
+    draws its reward with uniform ``num_samples + i``."""
+    check_number("num_samples", num_samples)
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     check_seed("seed", seed, key=True)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    pick_left = rng.random(num_samples) < policy.p_left
+    arm_draws, reward_draws = _PHILOX.uniforms(seed, 2 * num_samples).reshape(2, -1)
     win_prob = np.where(
-        pick_left,
+        arm_draws < policy.p_left,
         reward_probability(params.theta_left),
         reward_probability(params.theta_right),
     )
-    wins = rng.random(num_samples) < win_prob
+    wins = reward_draws < win_prob
     return McEstimate(float(wins.mean()), num_samples, seed)
 
 

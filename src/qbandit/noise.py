@@ -14,7 +14,8 @@ uniform per touched qubit and one ``integers(3)`` Pauli index per
 uniform below the rate, then one uniform for the measurement and one
 per measured bit for the readout flips.  Philox is counter-based
 (Salmon et al., SC'11), so a shot decodes those draws itself from the
-stream's raw 64-bit words (``random_raw``, read in refills of at most
+stream's raw 64-bit words (``random_raw`` of the re-keyed stream that
+``statevector._PHILOX`` keeps per thread, read in refills of at most
 ``_WINDOW`` words), by numpy's rules:
 
 * a uniform is one word w: ``(w >> 11) * 2**-53``;
@@ -50,16 +51,17 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .statevector import (
+    _PHILOX,
     Circuit,
     MeasurementCounts,
     _apply_matrix,
     _bitstring,
+    _derive_seed,
     _draw,
     _marginal,
     _subset,
     check_number,
     check_seed,
-    derive_seed,
     new_state,
 )
 
@@ -123,28 +125,6 @@ class _Slots:
             qubit += touched
             end += [len(qubit)] * len(touched)
         return cls(np.array(rate), gate, qubit, end)
-
-
-class _Philox:
-    """Philox streams by key from one bit generator.  Re-keying it starts
-    a stream as ``np.random.Philox(key=key)`` would, at about a sixth of
-    the cost: that constructor first gathers OS entropy for a seed that
-    the key then replaces."""
-
-    # Any fixed seed will do, since every stream is re-keyed before use;
-    # a prebuilt one spares the constructor the OS entropy as well.
-    _SEED = np.random.SeedSequence(0)
-
-    def __init__(self):
-        self._bitgen = np.random.Philox(self._SEED)
-        self._start = self._bitgen.state  # counter 0, nothing buffered
-
-    def raw(self, key: int) -> Callable[[int], np.ndarray]:
-        """``random_raw`` of ``key``'s stream, good until the next call."""
-        high, low = divmod(int(key), 2**64)
-        self._start["state"]["key"] = np.array([low, high], dtype=np.uint64)
-        self._bitgen.state = self._start
-        return self._bitgen.random_raw
 
 
 class _Stream:
@@ -242,7 +222,6 @@ def _trajectories(
     ground = new_state(n).amps
     slots = _Slots.of(circ, config)
     qubits = _subset(n, qubits)  # checked before any work
-    philox = _Philox()
     # A shot without errors uses one word per slot and 1 + len(qubits) for
     # its readout; eight more cover a few Pauli draws.
     window = min(_WINDOW, len(slots.rate) + len(qubits) + 9)
@@ -251,7 +230,7 @@ def _trajectories(
         errors = defaultdict(dict)  # gate -> {column: Pauli string}
         readout = np.empty((len(chunk), 1 + len(qubits)))  # measurement, then flips
         for col, key in enumerate(chunk):
-            stream = _Stream(philox.raw(key), window)
+            stream = _Stream(_PHILOX.raw(key), window)
             for s, pauli in _errors(stream, slots):
                 flip, negate, factor = _SIGNED_PERMUTATIONS[pauli]
                 string = errors[slots.gate[s]].setdefault(col, [0, 0, 1])
@@ -297,10 +276,12 @@ def noisy_counts(
     """Aggregate independent trajectories; trajectory i is keyed by
     (config.seed, seed, i), so runs are reproducible shot by shot."""
     check_number("shots", shots)
+    check_seed("config.seed", config.seed)
     check_seed("seed", seed)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    keys = (derive_seed(config.seed, seed, i) for i in range(shots))
+    # derive_seed(config.seed, seed, i), with the parts checked once.
+    keys = (_derive_seed(config.seed, seed, i) for i in range(shots))
     counts: dict[str, int] = {}
     for bits in _trajectories(circ, config, keys, qubits):
         counts[bits] = counts.get(bits, 0) + 1

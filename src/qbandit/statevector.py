@@ -15,6 +15,11 @@ through one kernel, ``_apply_matrix``, which takes one state or a batch
 of states held as columns.  The marginal and the sampler take a batch
 too, one state and one uniform per column.
 
+Every random stream is Philox (Salmon et al., SC'11) keyed by a seed.
+``_PHILOX`` holds one bit generator per thread and re-keys it for each
+stream, which gives the words a new ``np.random.Philox`` with that key
+would give without building one.
+
 All operations are pure: they take a state in and return a new one.
 """
 
@@ -22,8 +27,9 @@ from __future__ import annotations
 
 import functools
 import numbers
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -64,6 +70,11 @@ def derive_seed(*parts: int) -> int:
     """
     for i, part in enumerate(parts):
         check_seed(f"seed part {i}", part)
+    return _derive_seed(*parts)
+
+
+def _derive_seed(*parts: int) -> int:
+    """``derive_seed`` for parts the caller has already checked."""
     seq = np.random.SeedSequence([int(p) for p in parts])
     return int(seq.generate_state(1, np.uint64)[0])
 
@@ -88,6 +99,41 @@ def check_seed(name: str, value, key: bool = False) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
     if key and value >= 2**128:
         raise ValueError(f"{name} must be below 2**128, got {value}")
+
+
+class _Philox(threading.local):
+    """Philox streams by key, from one bit generator per thread.
+
+    Re-keying it starts the stream a new ``np.random.Philox`` with that
+    key would, at about a fifth of the cost: that constructor first
+    gathers OS entropy for a seed that the key then replaces.  Each
+    thread has its own generator, so streams on different threads cannot
+    interleave."""
+
+    # Any fixed seed will do, since every stream is re-keyed before use;
+    # a prebuilt one spares the constructor the OS entropy as well.
+    _SEED = np.random.SeedSequence(0)
+
+    def __init__(self):
+        self._bitgen = np.random.Philox(self._SEED)
+        self._start = self._bitgen.state  # counter 0, nothing buffered
+
+    def raw(self, key: int) -> Callable[[int], np.ndarray]:
+        """``random_raw`` of ``key``'s stream, good on this thread until
+        the next call."""
+        high, low = divmod(int(key), 2**64)
+        self._start["state"]["key"] = np.array([low, high], dtype=np.uint64)
+        self._bitgen.state = self._start
+        return self._bitgen.random_raw
+
+    def uniforms(self, key: int, count: int) -> np.ndarray:
+        """The first ``count`` uniforms of ``key``'s stream, as numpy's
+        ``Generator.random(count)`` draws them from a new Philox with that
+        key: word w is ``(w >> 11) * 2**-53``."""
+        return (self.raw(key)(count) >> 11) * 2.0**-53
+
+
+_PHILOX = _Philox()
 
 
 @dataclass(frozen=True)
@@ -385,6 +431,31 @@ def _draw(marg: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return (cdf <= uniforms).sum(axis=0)
 
 
+# Up to this many CDF edges, one pass over the uniforms per edge beats
+# sorting them.  On a 2-vCPU x86 VM a pass took about 3 µs and the sort
+# 36 µs at 8,000 uniforms, and 1.2 µs and 3 µs at 300.
+_EDGE_PASSES = 4
+
+
+def _tally(marg: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """counts[k]: how many of ``uniforms`` select outcome k of ``marg``,
+    the outcome ``_draw`` gives each one.
+
+    Outcome <= k exactly when u < cdf[k], so counts[k] = below[k] -
+    below[k - 1], with below[k] the uniforms under edge k.  Only the
+    edges are counted, never a per-shot outcome, so memory is
+    O(uniforms + outcomes).  The last edge is 1.0, above every uniform;
+    an earlier one that rounds above 1.0 is above every uniform too.
+    """
+    edges = np.cumsum(marg)[:-1]
+    if len(edges) <= _EDGE_PASSES:
+        below = [np.count_nonzero(uniforms < edge) for edge in edges]
+    else:
+        below = np.searchsorted(np.sort(uniforms), edges)  # strictly below
+    below = np.concatenate(([0], below, [len(uniforms)]))
+    return below[1:] - below[:-1]
+
+
 def _bitstring(outcome: int, marg: np.ndarray) -> str:
     """Outcome index of ``marg`` rendered with one character per measured qubit."""
     return format(int(outcome), f"0{marg.size.bit_length() - 1}b")
@@ -421,18 +492,20 @@ def sample_counts(
 ) -> MeasurementCounts:
     """Draw i.i.d. measurement shots from the exact distribution.
 
-    Shot i is a pure function of (seed, i): the i-th uniform of a
-    counter-based Philox stream keyed by ``seed`` is pushed through the
-    inverse CDF, so results do not depend on evaluation order.
+    Shot i is a pure function of (seed, i): the i-th uniform of the
+    Philox stream keyed by ``seed`` selects the outcome whose CDF step it
+    falls in, so results do not depend on evaluation order.  The shots
+    are counted at the CDF's edges (``_tally``) rather than one by one;
+    the counts are those of the per-shot inverse CDF.  Outcomes appear in
+    increasing index order, those with no shot left out.
     """
     check_number("shots", shots)
     check_seed("seed", seed, key=True)
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
     marg = _marginal(state.amps, state.num_qubits, qubits)
-    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(shots)
-    values, reps = np.unique(_draw(marg, uniforms), return_counts=True)
-    counts = {_bitstring(m, marg): int(c) for m, c in zip(values, reps)}
+    tally = _tally(marg, _PHILOX.uniforms(seed, shots))
+    counts = {_bitstring(m, marg): int(tally[m]) for m in np.flatnonzero(tally)}
     return MeasurementCounts(counts, shots)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .backends import Backend, IdealBackend
 from .bandit import REWARD_QUBIT, Arm, BanditParams, build_arm_circuit
 from .optimizers import OPTIMIZERS
-from .statevector import check_number, check_seed, derive_seed
+from .statevector import _PHILOX, check_number, check_seed, derive_seed
 
 
 class DatasetError(ValueError):
@@ -175,13 +175,22 @@ def load_dataset(path: str | Path) -> TransitionDataset:
 def synthesize_dataset(
     f_left: float, f_right: float, pulls_per_arm: int, seed: int
 ) -> TransitionDataset:
-    """Draw a balanced Bernoulli dataset with the given win probabilities."""
+    """Draw a balanced Bernoulli dataset with the given win probabilities:
+    pull i of the left arm wins when uniform i of the Philox stream keyed
+    by ``seed`` is below ``f_left``, and the right arm's pulls take the
+    next ``pulls_per_arm`` uniforms."""
+    for name, f in (("f_left", f_left), ("f_right", f_right)):
+        check_number(name, f, numbers.Real)
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {f}")
+    check_number("pulls_per_arm", pulls_per_arm)
+    if pulls_per_arm < 1:
+        raise ValueError(f"pulls_per_arm must be >= 1, got {pulls_per_arm}")
     check_seed("seed", seed, key=True)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    uniforms = _PHILOX.uniforms(seed, 2 * pulls_per_arm).reshape(2, -1)
     records: list[tuple[Arm, int]] = []
-    for arm, f in ((Arm.LEFT, f_left), (Arm.RIGHT, f_right)):
-        rewards = (rng.random(pulls_per_arm) < f).astype(int)
-        records.extend((arm, int(r)) for r in rewards)
+    for arm, f, draws in zip((Arm.LEFT, Arm.RIGHT), (f_left, f_right), uniforms):
+        records.extend((arm, int(r)) for r in draws < f)
     return TransitionDataset(tuple(records))
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from qbandit.bandit import Arm
 from qbandit.noise import _PAULIS
 from qbandit.statevector import (
     Circuit,
@@ -69,3 +70,44 @@ def reference_trajectory(circ: Circuit, config, seed: int, qubits=None) -> str:
         if flip:
             m ^= 1 << j
     return _bitstring(m, marg)
+
+
+def fresh_uniforms(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of a new Philox stream keyed by ``seed``."""
+    return np.random.Generator(np.random.Philox(key=seed)).random(count)
+
+
+def reference_tally(marg: np.ndarray, uniforms: np.ndarray) -> dict[str, int]:
+    """Shot by shot: each uniform's outcome by ``searchsorted`` into the
+    CDF (last entry pinned to 1.0), counted by ``np.unique``."""
+    cdf = np.cumsum(marg)
+    cdf[-1] = 1.0
+    values, reps = np.unique(np.searchsorted(cdf, uniforms, side="right"), return_counts=True)
+    return {_bitstring(m, marg): int(c) for m, c in zip(values, reps)}
+
+
+def reference_sample_counts(state, shots: int, seed: int, qubits=None) -> dict[str, int]:
+    """The per-shot sampler: the oracle for ``statevector.sample_counts``."""
+    marg = _marginal(state.amps, state.num_qubits, qubits)
+    return reference_tally(marg, fresh_uniforms(seed, shots))
+
+
+def reference_dataset(f_left: float, f_right: float, pulls_per_arm: int, seed: int):
+    """The oracle for ``training.synthesize_dataset``: each arm's pulls
+    are one ``random`` call on a Generator over a new Philox stream."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    records = []
+    for arm, f in ((Arm.LEFT, f_left), (Arm.RIGHT, f_right)):
+        records.extend((arm, int(r)) for r in (rng.random(pulls_per_arm) < f).astype(int))
+    return tuple(records)
+
+
+def reference_mc_estimate(
+    p_left: float, win_left: float, win_right: float, num_samples: int, seed: int
+) -> float:
+    """The oracle for ``baseline.monte_carlo_estimate``: arm draws, then
+    reward draws, from a Generator over a new Philox stream."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pick_left = rng.random(num_samples) < p_left
+    wins = rng.random(num_samples) < np.where(pick_left, win_left, win_right)
+    return float(wins.mean())
