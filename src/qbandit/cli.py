@@ -33,7 +33,6 @@ from .qpe import QpeConfig, ValueHistogram, error_bound, run_qpe
 from .statevector import check_number, derive_seed
 from .svg import bar_chart, line_chart, panel_grid
 from .training import (
-    DatasetError,
     TrainConfig,
     TrainingResult,
     load_dataset,
@@ -53,7 +52,7 @@ DEFAULT_CONFIG: dict = {
     "backend": "ideal",
     "noise": asdict(NoiseConfig()),
     "train": asdict(TrainConfig()),
-    "qpe": {"n": 3, "shots": 300, "seed": 0},
+    "qpe": {"n": 3, "shots": QpeConfig.shots, "seed": QpeConfig.seed},
     "policy": {"p_left": 0.5},
     "env": None,
 }
@@ -80,7 +79,7 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return defaults
     file = Path(path)
-    if not file.exists():
+    if not file.is_file():
         raise ConfigError(f"config file not found: {file}")
     try:
         user = json.loads(file.read_text())
@@ -248,11 +247,18 @@ def _resolve_qpe_env(args: argparse.Namespace, cfg: dict) -> BanditParams:
         return BanditParams(args.theta_left, args.theta_right)
     if args.from_dir:
         result_file = Path(args.from_dir) / "result.json"
-        if not result_file.exists():
+        if not result_file.is_file():
             raise ConfigError(f"env: no training result at {result_file}")
-        payload = json.loads(result_file.read_text())
-        theta = payload["final_theta"]
-        return BanditParams(float(theta[0]), float(theta[1]))
+        try:
+            payload = json.loads(result_file.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"env: {result_file} is not valid JSON: {exc.msg}") from exc
+        theta = payload.get("final_theta") if isinstance(payload, dict) else None
+        field = f"final_theta in {result_file}"
+        _require(
+            isinstance(theta, list) and len(theta) == 2, field, f"expected two angles, got {theta!r}"
+        )
+        return BanditParams(*(float(_number(t, field, numbers.Real)) for t in theta))
     env = cfg["env"]
     _require(
         isinstance(env, dict) and set(env) == {"theta_left", "theta_right"},
@@ -294,7 +300,7 @@ def _qpe_grid(
                 seed=derive_seed(base_seed, run_index),
             )
             hist = run_qpe(PolicySpec(p_left), params, qpe_cfg)
-        except (ValueError, ConfigError) as exc:
+        except ValueError as exc:
             failures.append(f"{run_id}: {exc}")
             continue
         csv_path = out_dir / f"{run_id}.csv"
@@ -373,8 +379,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     v = args.v
     _require(0.0 <= v <= 1.0, "v", f"target value must be in [0, 1], got {v}")
     n_values = _parse_n_range(args.n_range)
-    _require(bool(n_values), "n-range", "empty range")
-    seed = args.seed if args.seed is not None else 0
+    seed = args.seed
     _require(seed >= 0, "seed", f"must be non-negative, got {seed}")
     confidence = 8.0 / math.pi**2
 
@@ -552,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     baseline = sub.add_parser("baseline", help="classical sample-complexity comparison")
     baseline.add_argument("--v", type=float, required=True, help="target policy value")
     baseline.add_argument("--n-range", required=True, dest="n_range", help="a..b")
-    baseline.add_argument("--seed", type=int)
+    baseline.add_argument("--seed", type=int, default=0)
     baseline.add_argument("--out", required=True)
     baseline.set_defaults(func=cmd_baseline)
 
@@ -569,7 +574,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, ValueError) as exc:
+    except ValueError as exc:
         print(f"qbandit {args.command}: {exc}", file=sys.stderr)
         return 1
 

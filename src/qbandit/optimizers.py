@@ -1,6 +1,7 @@
 """Derivative-free optimizers for noisy objectives.
 
-Two interchangeable minimizers with the same ``minimize`` signature:
+One entry point, ``minimize``, checks the radii, counts evaluations against
+the budget and returns the best point seen; two searches plug into it:
 
 * ``LinearTrustRegion`` — COBYLA-style: keeps a simplex of d+1
   interpolation points, fits a linear model to them, and steps from the
@@ -59,12 +60,8 @@ class _Budget:
         self.best_x = np.asarray(x0, dtype=float).copy()
         self.best_f = math.inf
 
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.max_evals
-
     def __call__(self, point: np.ndarray) -> float:
-        if self.exhausted:
+        if self.used >= self.max_evals:
             raise _BudgetExhausted
         self.used += 1
         point = np.asarray(point, dtype=float)
@@ -75,6 +72,38 @@ class _Budget:
         return value
 
 
+class _Minimizer:
+    """The one ``minimize``; a subclass supplies ``_search``, which appends to
+    ``states`` unless it is None."""
+
+    def minimize(
+        self,
+        fn: Objective,
+        x0: np.ndarray,
+        *,
+        rho_start: float,
+        rho_end: float,
+        max_evals: int,
+        keep_states: bool = False,
+    ) -> OptimizeResult:
+        """Search from ``x0`` until the resolution radius falls from
+        ``rho_start`` to ``rho_end`` or ``max_evals`` evaluations are
+        spent.  With ``keep_states``, the result lists an
+        ``OptimizerState`` per trust-region model step; Nelder-Mead
+        builds no model, so its list stays empty."""
+        if not rho_start > rho_end > 0:
+            raise ValueError(
+                f"need rho_start > rho_end > 0, got {rho_start}, {rho_end}"
+            )
+        budget = _Budget(fn, max_evals, x0)
+        states: list[OptimizerState] | None = [] if keep_states else None
+        try:
+            self._search(budget, np.asarray(x0, dtype=float), rho_start, rho_end, states)
+        except _BudgetExhausted:
+            pass
+        return OptimizeResult(budget.best_x, budget.best_f, budget.used, states or [])
+
+
 def _initial_simplex(x0: np.ndarray, scale: float) -> np.ndarray:
     d = x0.size
     points = np.tile(np.asarray(x0, dtype=float), (d + 1, 1))
@@ -83,7 +112,7 @@ def _initial_simplex(x0: np.ndarray, scale: float) -> np.ndarray:
     return points
 
 
-class LinearTrustRegion:
+class LinearTrustRegion(_Minimizer):
     """Linear-interpolation trust-region search (COBYLA-style, unconstrained).
 
     A simplex of d+1 points carries a linear model of the objective;
@@ -101,36 +130,13 @@ class LinearTrustRegion:
     GROW = 1.6
     SHRINK = 0.5
 
-    def minimize(
-        self,
-        fn: Objective,
-        x0: np.ndarray,
-        *,
-        rho_start: float,
-        rho_end: float,
-        max_evals: int,
-        keep_states: bool = False,
-    ) -> OptimizeResult:
-        if not rho_start > rho_end > 0:
-            raise ValueError(
-                f"need rho_start > rho_end > 0, got {rho_start}, {rho_end}"
-            )
-        budget = _Budget(fn, max_evals, x0)
-        states: list[OptimizerState] = []
-        try:
-            self._search(budget, np.asarray(x0, dtype=float), rho_start, rho_end, states, keep_states)
-        except _BudgetExhausted:
-            pass
-        return OptimizeResult(budget.best_x, budget.best_f, budget.used, states)
-
     def _search(
         self,
         budget: _Budget,
         x0: np.ndarray,
         rho_start: float,
         rho_end: float,
-        states: list[OptimizerState],
-        keep_states: bool,
+        states: list[OptimizerState] | None,
     ) -> None:
         d = x0.size
         rho = rho_start  # resolution radius, monotone decreasing
@@ -175,7 +181,7 @@ class LinearTrustRegion:
                 step = -delta * grad / gnorm
                 candidate = points[b] + step
                 f_cand = budget(candidate)
-                if keep_states:
+                if states is not None:
                     states.append(
                         OptimizerState(
                             points[b].copy(),
@@ -218,28 +224,16 @@ class LinearTrustRegion:
             rebuild(points[b], values[b], rho)
 
 
-class NelderMead:
+class NelderMead(_Minimizer):
     """Downhill-simplex search with standard coefficients."""
 
-    def minimize(
+    def _search(
         self,
-        fn: Objective,
+        budget: _Budget,
         x0: np.ndarray,
-        *,
         rho_start: float,
         rho_end: float,
-        max_evals: int,
-        keep_states: bool = False,
-    ) -> OptimizeResult:
-        budget = _Budget(fn, max_evals, x0)
-        try:
-            self._search(budget, np.asarray(x0, dtype=float), rho_start, rho_end)
-        except _BudgetExhausted:
-            pass
-        return OptimizeResult(budget.best_x, budget.best_f, budget.used, [])
-
-    def _search(
-        self, budget: _Budget, x0: np.ndarray, rho_start: float, rho_end: float
+        states: list[OptimizerState] | None,
     ) -> None:
         alpha, gamma, beta, sigma = 1.0, 2.0, 0.5, 0.5
         d = x0.size
@@ -280,7 +274,7 @@ class NelderMead:
                 values[i] = budget(points[i])
 
 
-OPTIMIZERS: dict[str, type] = {
+OPTIMIZERS: dict[str, type[_Minimizer]] = {
     "cobyla": LinearTrustRegion,
     "nelder-mead": NelderMead,
 }

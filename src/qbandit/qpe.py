@@ -30,14 +30,11 @@ from .noise import NoiseConfig
 from .statevector import (
     Circuit,
     Gate,
-    apply_circuit,
     check_number,
     check_seed,
     circuit_unitary,
-    exact_distribution,
     h,
     inverse_circuit,
-    new_state,
     phase,
     swap,
     x,
@@ -300,8 +297,4 @@ def exact_value_distribution(
 ) -> dict[int, float]:
     """Closed-path helper: exact folded distribution over register
     outcomes for the ideal circuit (no sampling)."""
-    prep = build_state_prep(policy, params)
-    q_op = build_grover_operator(prep)
-    circ = build_qpe_circuit(q_op, n)
-    state = apply_circuit(new_state(circ.num_qubits), circ)
-    return _fold(exact_distribution(state, eval_qubits(n)), n)
+    return run_qpe(policy, params, QpeConfig(n=n), ExactOracleBackend()).exact

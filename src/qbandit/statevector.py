@@ -420,15 +420,13 @@ def _marginal(
 
 def _draw(marg: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF sampling: the outcome index each uniform in [0, 1)
-    selects.  A batch ``(outcomes, B)`` of marginals takes one uniform per
-    column."""
+    selects.  One marginal ``(outcomes,)`` takes any number of uniforms; a
+    batch ``(outcomes, B)`` of marginals takes one uniform per column."""
     cdf = np.cumsum(marg, axis=0)
     cdf[-1] = 1.0
-    if marg.ndim == 1:
-        return np.searchsorted(cdf, uniforms, side="right")
-    # searchsorted's answer: the CDF values at or below the uniform.  Only
-    # the last can break the order, and it is 1.0, above every uniform.
-    return (cdf <= uniforms).sum(axis=0)
+    # searchsorted(side="right")'s answer: the CDF values at or below the uniform.
+    # Only the last can break the order, and it is 1.0, above every uniform.
+    return (cdf.reshape(len(cdf), -1) <= uniforms).sum(axis=0)
 
 
 # Up to this many CDF edges, one pass over the uniforms per edge beats

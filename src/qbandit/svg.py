@@ -1,8 +1,9 @@
 """Minimal static SVG plotting: bar and line charts, no dependencies.
 
-Charts are plain SVG documents assembled from strings; ``panel_grid``
-nests complete documents into a rows-by-columns figure.  Only the
-primitives the experiment reports need are provided.
+Every chart is one fixed-size panel, ``WIDTH`` by ``HEIGHT`` pixels with
+fixed margins, assembled from strings as a complete SVG document;
+``panel_grid`` tiles such panels into a rows-by-columns figure.  Only
+the primitives the experiment reports need are provided.
 """
 
 from __future__ import annotations
@@ -13,16 +14,17 @@ from dataclasses import dataclass
 PALETTE = ("#4878cf", "#ee854a", "#6acc65", "#d65f5f", "#956cb4")
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
+_OPEN = '<svg xmlns="http://www.w3.org/2000/svg" '
+
+WIDTH, HEIGHT = 420, 300
+_LEFT, _BOTTOM, _TOP, _RIGHT = 58, 42, 28, 14  # plot-area margins
 
 
-def _fmt(v: float) -> str:
-    return f"{v:g}"
-
-
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About five round-numbered ticks spanning [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(count - 1, 1)
+    raw = (hi - lo) / 4
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         if mag * mult >= raw:
@@ -45,46 +47,38 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
 
 @dataclass
 class _Axes:
-    """Maps data coordinates onto a pixel viewport and draws the frame."""
+    """Maps data coordinates onto the panel's plot area and draws the frame."""
 
-    width: int
-    height: int
     x_lo: float
     x_hi: float
     y_lo: float
     y_hi: float
     log_x: bool = False
     log_y: bool = False
-    margin_left: int = 58
-    margin_bottom: int = 42
-    margin_top: int = 28
-    margin_right: int = 14
 
     def x_px(self, x: float) -> float:
         lo, hi = self.x_lo, self.x_hi
         if self.log_x:
             x, lo, hi = math.log10(x), math.log10(lo), math.log10(hi)
         frac = (x - lo) / (hi - lo) if hi > lo else 0.5
-        return self.margin_left + frac * (self.width - self.margin_left - self.margin_right)
+        return _LEFT + frac * (WIDTH - _LEFT - _RIGHT)
 
     def y_px(self, y: float) -> float:
         lo, hi = self.y_lo, self.y_hi
         if self.log_y:
             y, lo, hi = math.log10(y), math.log10(lo), math.log10(hi)
         frac = (y - lo) / (hi - lo) if hi > lo else 0.5
-        return self.height - self.margin_bottom - frac * (
-            self.height - self.margin_top - self.margin_bottom
-        )
+        return HEIGHT - _BOTTOM - frac * (HEIGHT - _TOP - _BOTTOM)
 
     def frame(self, title: str, xlabel: str, ylabel: str) -> list[str]:
-        x0, y0 = self.margin_left, self.height - self.margin_bottom
-        x1, y1 = self.width - self.margin_right, self.margin_top
+        x0, y0 = _LEFT, HEIGHT - _BOTTOM
+        x1, y1 = WIDTH - _RIGHT, _TOP
         parts = [
-            f'<rect x="0" y="0" width="{self.width}" height="{self.height}" fill="white"/>',
+            f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
             f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
             f'<text x="{(x0 + x1) / 2:.1f}" y="16" text-anchor="middle" {_FONT} font-size="12">{title}</text>',
-            f'<text x="{(x0 + x1) / 2:.1f}" y="{self.height - 6}" text-anchor="middle" {_FONT} font-size="11">{xlabel}</text>',
+            f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 6}" text-anchor="middle" {_FONT} font-size="11">{xlabel}</text>',
             f'<text x="14" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" {_FONT} font-size="11" transform="rotate(-90 14 {(y0 + y1) / 2:.1f})">{ylabel}</text>',
         ]
         xticks = (
@@ -96,7 +90,7 @@ class _Axes:
             px = self.x_px(t)
             parts.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 4}" stroke="black"/>')
             parts.append(
-                f'<text x="{px:.1f}" y="{y0 + 16}" text-anchor="middle" {_FONT} font-size="10">{_fmt(t)}</text>'
+                f'<text x="{px:.1f}" y="{y0 + 16}" text-anchor="middle" {_FONT} font-size="10">{t:g}</text>'
             )
         yticks = (
             _log_ticks(self.y_lo, self.y_hi) if self.log_y else _ticks(self.y_lo, self.y_hi)
@@ -107,7 +101,7 @@ class _Axes:
             py = self.y_px(t)
             parts.append(f'<line x1="{x0 - 4}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>')
             parts.append(
-                f'<text x="{x0 - 6}" y="{py + 3:.1f}" text-anchor="end" {_FONT} font-size="10">{_fmt(t)}</text>'
+                f'<text x="{x0 - 6}" y="{py + 3:.1f}" text-anchor="end" {_FONT} font-size="10">{t:g}</text>'
             )
         return parts
 
@@ -115,7 +109,7 @@ class _Axes:
 def _document(width: int, height: int, parts: list[str]) -> str:
     body = "\n".join(parts)
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'{_OPEN}width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n{body}\n</svg>\n'
     )
 
@@ -126,31 +120,28 @@ def bar_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 420,
-    height: int = 300,
     x_range: tuple[float, float] | None = None,
-    bar_half_width: float | None = None,
     overlay: list[tuple[float, float]] | None = None,
     overlay_label: str = "",
 ) -> str:
     """Grouped vertical bars per series, with an optional marker overlay
-    (used for exact distributions on top of empirical counts)."""
+    (used for exact distributions on top of empirical counts).  The bars
+    at one x fill 70% of the smallest gap between distinct x values."""
     xs = [x for _, pts in series for x, _ in pts]
     tops = [y for _, pts in series for _, y in pts]
     if overlay:
         tops += [y for _, y in overlay]
     x_lo, x_hi = x_range if x_range else (min(xs), max(xs))
     pad = 0.05 * (x_hi - x_lo or 1.0)
-    axes = _Axes(width, height, x_lo - pad, x_hi + pad, 0.0, max(tops) * 1.12 or 1.0)
+    axes = _Axes(x_lo - pad, x_hi + pad, 0.0, max(tops) * 1.12 or 1.0)
     parts = axes.frame(title, xlabel, ylabel)
 
-    if bar_half_width is None:
-        distinct = sorted(set(xs))
-        gap = min(
-            (b - a for a, b in zip(distinct, distinct[1:])),
-            default=(x_hi - x_lo) or 1.0,
-        )
-        bar_half_width = 0.35 * gap
+    distinct = sorted(set(xs))
+    gap = min(
+        (b - a for a, b in zip(distinct, distinct[1:])),
+        default=(x_hi - x_lo) or 1.0,
+    )
+    bar_half_width = 0.35 * gap
     n_series = len(series)
     slot = 2.0 * bar_half_width / n_series
     y0 = axes.y_px(0.0)
@@ -166,8 +157,8 @@ def bar_chart(
             )
         if label:
             parts.append(
-                f'<rect x="{width - 120}" y="{34 + 14 * s}" width="10" height="10" fill="{color}"/>'
-                f'<text x="{width - 106}" y="{43 + 14 * s}" {_FONT} font-size="10">{label}</text>'
+                f'<rect x="{WIDTH - 120}" y="{34 + 14 * s}" width="10" height="10" fill="{color}"/>'
+                f'<text x="{WIDTH - 106}" y="{43 + 14 * s}" {_FONT} font-size="10">{label}</text>'
             )
     if overlay:
         for x, y in overlay:
@@ -178,10 +169,10 @@ def bar_chart(
         if overlay_label:
             s = len(series)
             parts.append(
-                f'<circle cx="{width - 115}" cy="{38 + 14 * s}" r="3" fill="none" stroke="black"/>'
-                f'<text x="{width - 106}" y="{42 + 14 * s}" {_FONT} font-size="10">{overlay_label}</text>'
+                f'<circle cx="{WIDTH - 115}" cy="{38 + 14 * s}" r="3" fill="none" stroke="black"/>'
+                f'<text x="{WIDTH - 106}" y="{42 + 14 * s}" {_FONT} font-size="10">{overlay_label}</text>'
             )
-    return _document(width, height, parts)
+    return _document(WIDTH, HEIGHT, parts)
 
 
 def line_chart(
@@ -190,8 +181,6 @@ def line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 420,
-    height: int = 300,
     log_x: bool = False,
     log_y: bool = False,
 ) -> str:
@@ -210,7 +199,7 @@ def line_chart(
     if not log_y:
         pad = 0.08 * (y_hi - y_lo or 1.0)
         y_lo, y_hi = y_lo - pad, y_hi + pad
-    axes = _Axes(width, height, x_lo, x_hi, y_lo, y_hi, log_x=log_x, log_y=log_y)
+    axes = _Axes(x_lo, x_hi, y_lo, y_hi, log_x=log_x, log_y=log_y)
     parts = axes.frame(title, xlabel, ylabel)
     for s, (label, pts) in enumerate(series):
         color = PALETTE[s % len(PALETTE)]
@@ -229,22 +218,19 @@ def line_chart(
             )
         if label:
             parts.append(
-                f'<line x1="{width - 130}" y1="{38 + 14 * s}" x2="{width - 114}" y2="{38 + 14 * s}" stroke="{color}" stroke-width="2"/>'
-                f'<text x="{width - 108}" y="{42 + 14 * s}" {_FONT} font-size="10">{label}</text>'
+                f'<line x1="{WIDTH - 130}" y1="{38 + 14 * s}" x2="{WIDTH - 114}" y2="{38 + 14 * s}" stroke="{color}" stroke-width="2"/>'
+                f'<text x="{WIDTH - 108}" y="{42 + 14 * s}" {_FONT} font-size="10">{label}</text>'
             )
-    return _document(width, height, parts)
+    return _document(WIDTH, HEIGHT, parts)
 
 
-def panel_grid(panels: list[list[str]], *, panel_width: int = 420, panel_height: int = 300) -> str:
-    """Compose complete SVG documents into a rows-by-columns figure."""
+def panel_grid(panels: list[list[str]]) -> str:
+    """Tile chart panels into a rows-by-columns figure; short rows end early."""
     rows = len(panels)
     cols = max(len(row) for row in panels)
-    parts = []
-    for r, row in enumerate(panels):
-        for c, doc in enumerate(row):
-            inner = doc.replace('<svg xmlns="http://www.w3.org/2000/svg" ', "<svg ", 1)
-            parts.append(
-                f'<svg x="{c * panel_width}" y="{r * panel_height}" '
-                + inner.split("<svg ", 1)[1]
-            )
-    return _document(cols * panel_width, rows * panel_height, parts)
+    parts = [
+        f'<svg x="{c * WIDTH}" y="{r * HEIGHT}" ' + doc.removeprefix(_OPEN)
+        for r, row in enumerate(panels)
+        for c, doc in enumerate(row)
+    ]
+    return _document(cols * WIDTH, rows * HEIGHT, parts)

@@ -137,10 +137,11 @@ def load_dataset(path: str | Path) -> TransitionDataset:
     """Parse a JSON Lines file of {"action": "left"|"right", "reward": 0|1}.
 
     Blank lines are skipped; anything else malformed raises DatasetError
-    naming the offending line.  Both arms must appear at least once.
+    naming the offending line, including a reward of true, false, 0.0 or
+    1.0.  Both arms must appear at least once.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DatasetError(f"dataset file not found: {path}")
     records: list[tuple[Arm, int]] = []
     with path.open() as handle:
@@ -160,7 +161,7 @@ def load_dataset(path: str | Path) -> TransitionDataset:
                     f"{path}:{lineno}: unknown action {action!r} (want 'left' or 'right')"
                 )
             reward = obj.get("reward")
-            if reward not in (0, 1):
+            if type(reward) is not int or reward not in (0, 1):
                 raise DatasetError(
                     f"{path}:{lineno}: reward must be 0 or 1, got {reward!r}"
                 )

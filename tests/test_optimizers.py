@@ -117,3 +117,11 @@ def test_nelder_mead_shrink_path():
         valley, np.zeros(2), rho_start=0.3, rho_end=1e-10, max_evals=2000
     )
     assert res.fun < 1e-6
+
+
+@pytest.mark.parametrize("rho_start, rho_end", [(1e-4, 1e-3), (1e-3, 1e-3), (0.5, 0.0)])
+def test_nelder_mead_invalid_radii(rho_start, rho_end):
+    with pytest.raises(ValueError, match="rho_start > rho_end > 0"):
+        NelderMead().minimize(
+            quadratic, np.zeros(2), rho_start=rho_start, rho_end=rho_end, max_evals=10
+        )

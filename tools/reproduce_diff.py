@@ -9,7 +9,8 @@ working tree with this interpreter (PYTHONPATH=<tree>/src), and compares
 every output file, manifests included, and each demo's standard output
 byte for byte.  Prints each path that differs or exists on one side only
 (a demo as `demos/<name>.py:stdout`), and exits 1 if there is any, 0
-otherwise.
+otherwise.  Exits 2, before running anything, on a usage error or a
+BASE_REV that names no commit.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ def files(root: Path) -> dict[str, bytes]:
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
+        return 2
+    known = subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", f"{argv[0]}^{{commit}}"],
+        cwd=REPO,
+        capture_output=True,
+    )
+    if known.returncode != 0:
+        print(f"unknown revision {argv[0]}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
