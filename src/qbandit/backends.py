@@ -14,6 +14,12 @@ to ``shots`` by largest remainder and ``frequency`` is the exact Born
 probability; it exists for tests and shot-free baselines.  The noisy
 backend's ``counts`` runs Pauli trajectories, and it has no
 ``exact_probabilities``.
+
+The ideal and oracle backends read a circuit's state from
+``Circuit.final_state``, so each circuit object is simulated once.  Its
+read-only amplitudes serve every later ``counts``,
+``exact_probabilities`` and ``frequency`` call on that object, and go
+when the circuit goes; the backends themselves hold no state.
 """
 
 from __future__ import annotations
@@ -24,10 +30,7 @@ from .noise import NoiseConfig, noisy_counts
 from .statevector import (
     Circuit,
     MeasurementCounts,
-    StateVector,
-    apply_circuit,
     exact_distribution,
-    new_state,
     sample_counts,
 )
 
@@ -49,10 +52,6 @@ def apportion(probabilities: dict[_Key, float], shots: int) -> dict[_Key, int]:
     return {key: c for key, c in counts.items() if c > 0}
 
 
-def _run(circ: Circuit) -> StateVector:
-    return apply_circuit(new_state(circ.num_qubits), circ)
-
-
 class IdealBackend:
     """Noise-free simulation with seeded measurement sampling."""
 
@@ -65,12 +64,12 @@ class IdealBackend:
         seed: int,
         qubits: Iterable[int] | None = None,
     ) -> MeasurementCounts:
-        return sample_counts(_run(circ), shots, seed, qubits)
+        return sample_counts(circ.final_state, shots, seed, qubits)
 
     def exact_probabilities(
         self, circ: Circuit, qubits: Iterable[int] | None = None
     ) -> dict[str, float] | None:
-        return exact_distribution(_run(circ), qubits)
+        return exact_distribution(circ.final_state, qubits)
 
     def frequency(self, circ: Circuit, qubit: int, shots: int, seed: int) -> float:
         return self.counts(circ, shots, seed, qubits=(qubit,)).frequency("1")
@@ -101,6 +100,7 @@ class NoisyBackend(IdealBackend):
     name = "noisy"
 
     def __init__(self, noise: NoiseConfig | None = None):
+        check_backend(self.name, noise)
         self.noise = noise or NoiseConfig()
 
     def counts(
@@ -129,7 +129,15 @@ BACKENDS = {
 }
 
 
-def get_backend(name: str, noise: NoiseConfig | None = None) -> Backend:
+def check_backend(name: str, noise: NoiseConfig | None = None) -> None:
+    """Raise ValueError unless ``name`` is a key of ``BACKENDS`` and
+    ``noise`` is a NoiseConfig or None; the message names the field."""
     if not isinstance(name, str) or name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}; expected one of {', '.join(BACKENDS)}")
+    if noise is not None and not isinstance(noise, NoiseConfig):
+        raise ValueError(f"noise must be a NoiseConfig or None, got {noise!r}")
+
+
+def get_backend(name: str, noise: NoiseConfig | None = None) -> Backend:
+    check_backend(name, noise)
     return BACKENDS[name](noise)

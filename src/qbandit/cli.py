@@ -112,6 +112,16 @@ def _section(cls: type, cfg: dict, name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def _make_dir(path: Path) -> None:
+    """Make the output directory ``path`` (and its parents) unless it
+    exists; a ConfigError names it when it cannot be made, for example
+    when a file is in the way."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from exc
+
+
 def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
@@ -196,7 +206,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     result = optimize(dataset, train_cfg, backend)
 
     outputs = _write_training(result, out_dir)
@@ -350,7 +360,7 @@ def cmd_qpe(args: argparse.Namespace) -> int:
     backends = [str(b) for b in _as_list(cfg["backend"])]
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     outputs, failures = _qpe_grid(
         out_dir, params, noise, backends, n_values, policies, shots, base_seed
     )
@@ -384,7 +394,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     confidence = 8.0 / math.pi**2
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
 
     table_rows = []
     for n in n_values:
@@ -453,7 +463,7 @@ def _reproduce_training(out_dir: Path) -> None:
     summary = []
     for label, f_left, f_right, data_seed, train_seed in runs:
         run_dir = out_dir / label
-        run_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(run_dir)
         dataset = synthesize_dataset(f_left, f_right, 10000, seed=data_seed)
         write_dataset(dataset, run_dir / "dataset.jsonl")
         train_cfg = TrainConfig(**{**DEFAULT_CONFIG["train"], "seed": train_seed})
@@ -484,7 +494,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         )
         return 1
     out_dir = Path(args.out) / args.figure
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
 
     if args.figure == "training-curves":
         _reproduce_training(out_dir)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends import Backend, ExactOracleBackend, apportion, get_backend
+from .backends import Backend, ExactOracleBackend, apportion, check_backend, get_backend
 from .bandit import ACTION_QUBIT, REWARD_QUBIT, BanditParams, PolicySpec
 from .bandit import build_environment_circuit, build_policy_circuit
 from .noise import NoiseConfig
@@ -205,6 +205,7 @@ class QpeConfig:
         for name in ("n", "shots"):
             check_number(name, getattr(self, name))
         check_seed("seed", self.seed)
+        check_backend(self.backend, self.noise)
         if not 1 <= self.n <= MAX_EVAL_QUBITS:
             raise ValueError(f"n must be in [1, {MAX_EVAL_QUBITS}], got {self.n}")
         if self.shots < 1:

@@ -21,6 +21,9 @@ stream, which gives the words a new ``np.random.Philox`` with that key
 would give without building one.
 
 All operations are pure: they take a state in and return a new one.
+A circuit object simulates itself from |0...0> at most once, on first
+use of ``Circuit.final_state``, and every caller shares that read-only
+state.
 """
 
 from __future__ import annotations
@@ -262,6 +265,14 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
+
+    @functools.cached_property
+    def final_state(self) -> StateVector:
+        """The state this circuit makes from |0...0>, simulated on first use
+        and then shared, read-only, by every later caller of this object."""
+        state = apply_circuit(new_state(self.num_qubits), self)
+        state.amps.setflags(write=False)
+        return state
 
     def then(self, other: Circuit) -> Circuit:
         """Concatenation: self first, then other."""
