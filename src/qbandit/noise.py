@@ -13,17 +13,32 @@ those of a gate-by-gate loop that draws from
 uniform per touched qubit and one ``integers(3)`` Pauli index per
 uniform below the rate, then one uniform for the measurement and one
 per measured bit for the readout flips.  Philox is counter-based
-(Salmon et al., SC'11), so a shot decodes those draws itself from the
-stream's raw 64-bit words (``random_raw`` of the re-keyed stream that
-``statevector._PHILOX`` keeps per thread, read in refills of at most
-``_WINDOW`` words), by numpy's rules:
+(Salmon et al., SC'11), so those draws are decoded from the stream's
+raw 64-bit words (``random_raw`` of the re-keyed stream that
+``statevector._PHILOX`` keeps per thread), by numpy's rules:
 
-* a uniform is one word w: ``(w >> 11) * 2**-53``;
+* a uniform is one word w: ``(w >> 11) * 2**-53``, below a rate r
+  exactly when ``w >> 11 < ceil(r * 2**53)``;
 * a Pauli index is Lemire's multiply-shift (ACM TOMACS 2019) on a 32-bit
   half x: ``(x * 3) >> 32``.  A draw takes the low half of a fresh word
   and leaves the high half for the shot's next Pauli draw, in whatever
   gate that comes; uniforms never use a left half.  The draw is redone
   on the next half when ``(x * 3) & 0xFFFFFFFF == 0``, that is x = 0.
+
+The decode works on a chunk of shots at once.  The keys of
+``noisy_counts`` (``derive_seed(config.seed, seed, i)``) come from one
+array pass of ``SeedSequence``'s hash, ``statevector._derive_seeds``.
+Each shot's first words fill one row of a block of at most
+``_BLOCK_WORDS`` words: one per (gate, qubit) slot and per readout
+draw, and ``_SPARE`` more for its Pauli draws, which come before the
+readout words.  A shot with no word below its slot's rate needs no
+more decoding: its readout words follow its slots'.  The
+others are decoded in rounds (``_errors``): each round takes every such
+shot to its next erring gate, found by ``searchsorted`` among the
+block's hits, shifted by the words its Pauli draws have used, and makes
+that gate's draws for all of them.  A shot whose draws outrun its spare
+words is read again in a wider row.  The block is freed before the
+gates run.
 
 ``tests/helpers.reference_trajectory`` is the gate-by-gate loop, drawing
 from numpy's ``Generator``, and the tests hold the two to the same
@@ -31,10 +46,12 @@ counts; ``tests/test_noise_decode.py`` also feeds both hand-built words.
 
 The shots then go through the circuit together, one state per column,
 in chunks of at most ``_CHUNK_AMPS`` amplitudes.  Each gate is one
-``_apply_matrix`` on the whole chunk.  A gate's Pauli errors are one
-update of the columns they hit: a Pauli string only permutes amplitudes
-and multiplies them by ±1 or ±i, so this is exact.  The readout is one
-marginal, one draw and one XOR of the flipped bits for the whole chunk.
+``_apply_matrix`` on the whole chunk.  The chunk's errors are grouped
+by (gate, shot) into Pauli strings, and a gate's strings are one
+gather, multiply and scatter of the columns they hit: a Pauli string
+only permutes amplitudes and multiplies them by ±1 or ±i, so this is
+exact.  The readout is one marginal, one draw and one XOR of the
+flipped bits for the whole chunk.
 
 Default rates are invented (no hardware calibration behind them),
 chosen so that deeper circuits visibly degrade more.
@@ -42,11 +59,10 @@ chosen so that deeper circuits visibly degrade more.
 
 from __future__ import annotations
 
+import math
 import numbers
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,13 +72,12 @@ from .statevector import (
     MeasurementCounts,
     _apply_matrix,
     _bitstring,
-    _derive_seed,
+    _derive_seeds,
     _draw,
     _marginal,
     _subset,
     check_number,
     check_seed,
-    new_state,
 )
 
 # The Pauli error with index i: X, Y, Z, as the gate-by-gate reference
@@ -72,18 +87,21 @@ _PAULIS = np.array(
 )
 _PAULIS.setflags(write=False)
 
-# The same Paulis as signed permutations of a qubit's basis states,
-# (flip, negate, factor): P|b> = factor * (-1)**(negate * b) |b ^ flip>.
-# The batched update applies them in this form.
-_SIGNED_PERMUTATIONS = ((1, 0, 1), (1, 1, 1j), (0, 1, 1))
-_SIGNS = np.array([1, -1])  # (-1)**parity
+# i**k for k = 0..3: a Pauli string multiplies each amplitude by one.
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 # A chunk of shots holds at most this many amplitudes (16 MB of
 # complex128), so memory does not grow with shots or register width.
 _CHUNK_AMPS = 2**20
 
-# A shot reads its raw words at most this many at a time.
-_WINDOW = 1024
+# A block of raw words holds at most this many (512 KB of uint64), or
+# one shot's row if that is longer, so memory does not grow with shots.
+_BLOCK_WORDS = 2**16
+
+# Each shot's row has this many words past its slots and readout for
+# its Pauli draws; a shot whose draws need more is read again in a row
+# twice as wide.
+_SPARE = 8
 
 
 @dataclass(frozen=True)
@@ -104,149 +122,196 @@ class NoiseConfig:
         check_seed("seed", self.seed)
 
 
-@dataclass(frozen=True)
-class _Slots:
+class _Slots(NamedTuple):
     """One slot per (gate, touched qubit), in the order a shot draws its
     error uniforms: the gate's error rate, the gate's index, the qubit
-    and ``end``, one past the last slot of the slot's gate."""
+    and ``end``, one past the last slot of the slot's gate.  ``below``
+    is the rate on a word's top 53 bits: the uniform (w >> 11) * 2**-53
+    is below the rate exactly when w >> 11 < ceil(rate * 2**53)."""
 
-    rate: np.ndarray
-    gate: list[int]
-    qubit: list[int]
-    end: list[int]
+    rate: list[float]
+    gate: np.ndarray
+    qubit: np.ndarray
+    end: np.ndarray
+    below: np.ndarray
 
     @classmethod
     def of(cls, circ: Circuit, config: NoiseConfig) -> _Slots:
-        rate, gate, qubit, end = [], [], [], []
+        rate, gate, qubit, end, below = [], [], [], [], []
+        bounds = (math.ceil(config.p1 * 2**53), math.ceil(config.p2 * 2**53))
         for g, op in enumerate(circ.gates):
             touched = op.qubits
-            rate += [config.p1 if len(touched) == 1 else config.p2] * len(touched)
-            gate += [g] * len(touched)
+            k = len(touched)
+            rate += [config.p1 if k == 1 else config.p2] * k
+            below += [bounds[k > 1]] * k
+            gate += [g] * k
             qubit += touched
-            end += [len(qubit)] * len(touched)
-        return cls(np.array(rate), gate, qubit, end)
+            end += [len(qubit)] * k
+        gate, qubit, end = np.array(gate, np.intp), np.array(qubit, np.intp), np.array(end, np.intp)
+        return cls(rate, gate, qubit, end, np.array(below, dtype=np.uint64))
 
 
-class _Stream:
-    """One shot's Philox words, decoded as numpy's ``Generator`` would
-    draw from them (see the module docstring)."""
+def _errors(words: np.ndarray, slots: _Slots, spare: int, used: np.ndarray) -> tuple:
+    """The Pauli errors of each row's shot, decoded from the row's raw
+    words, as ``(row, slot, pauli)`` arrays.  ``used[r]`` becomes the
+    number of words row r's Pauli draws used; a row that needs more than
+    ``spare`` is left as soon as it does, and its errors are void.
 
-    def __init__(self, raw: Callable[[int], np.ndarray], window: int):
-        self._raw = raw  # the next k raw words of the stream
-        self._window = window  # words per read
-        self._words = np.empty(0, dtype=np.uint64)  # read from the stream
-        self._uniforms = np.empty(0)  # the same words as uniforms
-        self._next = 0  # the first word not yet used
-        self._half = None  # the high half a Pauli draw left over
-
-    def _refill(self) -> None:
-        self._words = np.concatenate((self._words[self._next :], self._raw(self._window)))
-        self._uniforms = (self._words >> 11) * 2.0**-53
-        self._next = 0
-
-    def ahead(self) -> np.ndarray:
-        """The words read but not yet used, at least one, as uniforms."""
-        if self._next == len(self._words):
-            self._refill()
-        return self._uniforms[self._next :]
-
-    def uniforms(self, k: int) -> np.ndarray:
-        """Use the next ``k`` words as uniforms."""
-        while len(self._words) - self._next < k:
-            self._refill()
-        self._next += k
-        return self._uniforms[self._next - k : self._next]
-
-    def pauli(self) -> int:
-        """A Pauli index: one ``integers(3)`` draw."""
-        while True:
-            if self._half is None:
-                if self._next == len(self._words):
-                    self._refill()
-                word = int(self._words[self._next])
-                self._next += 1
-                x, self._half = word & 0xFFFFFFFF, word >> 32
-            else:
-                x, self._half = self._half, None
-            if (x * 3) & 0xFFFFFFFF:
-                return (x * 3) >> 32
-
-
-def _errors(stream: _Stream, slots: _Slots) -> list[tuple[int, int]]:
-    """One shot's Pauli errors as (slot, Pauli index), in stream order.
-
-    The words already read are scanned as uniforms up to the first one
-    below its rate.  That slot's gate is then used up to its end, and
-    its Pauli draws follow, so later uniforms start after them.
-    """
-    errors = []
-    pos = 0
-    while pos < len(slots.rate):
-        ahead = stream.ahead()[: len(slots.rate) - pos]
-        below = ahead < slots.rate[pos : pos + len(ahead)]
-        first = pos + int(below.argmax())
-        if not below[first - pos]:
-            stream.uniforms(len(ahead))
-            pos += len(ahead)
-            continue
-        end = slots.end[first]
-        drawn = stream.uniforms(end - pos)
-        for s in range(first, end):
-            if drawn[s - pos] < slots.rate[s]:
-                errors.append((s, stream.pauli()))
-        pos = end
-    return errors
+    Each round takes every row still decoding to its next slot whose
+    word is below the rate, past the words its Pauli draws have used
+    (its shift).  The hits of every shift in use are kept in one sorted
+    array of flat (shift, row, slot) indices, so a round is two
+    ``searchsorted`` calls.  The rest of that slot's gate is used, then
+    its Pauli draws are made, the j-th of every row at once."""
+    rows, size = len(words), len(slots.rate)
+    hits = (words[:, :size] >> 11 < slots.below).ravel().nonzero()[0]
+    if not hits.size:  # no shot errs: nothing to decode
+        return hits, hits, hits
+    last = 2**62  # past every flat index
+    hits, shifts = np.append(hits, last), 1
+    half = np.zeros(rows, dtype=np.uint64)  # a high half left over, or 0
+    pos = np.zeros(rows, dtype=np.intp)  # the row's next slot
+    live = np.arange(rows)
+    found = []
+    while live.size:
+        shift = used[live]
+        low, top = shift.min(), shift.max()
+        if shifts <= top:
+            new = [
+                (words[:, d : d + size] >> 11 < slots.below).ravel().nonzero()[0] + d * rows * size
+                for d in range(shifts, top + 1)
+            ]
+            stale = np.searchsorted(hits, low * rows * size)
+            hits, shifts = np.concatenate([hits[stale:-1], *new, [last]]), top + 1
+        base = (shift * rows + live) * size
+        first = np.searchsorted(hits, base + pos[live])
+        slot = hits[first] - base
+        going = slot < size  # otherwise no word below its rate is left
+        live, base, first, slot = live[going], base[going], first[going], slot[going]
+        end = slots.end[slot]
+        count = np.searchsorted(hits, base + end) - first  # the gate's errors
+        pos[live] = end
+        for j in range(count.max(initial=0)):
+            step = (count > j) & (used[live] <= spare)
+            drawn, at = live[step], end[step]
+            erred = hits[first[step] + j] - base[step]
+            # integers(3) takes the next nonzero 32-bit half: a carried
+            # half, else a fresh word's low half, else its high half.
+            # A carried half of 0 would be redrawn, so 0 means none.
+            x, half[drawn] = half[drawn], 0
+            todo = np.flatnonzero(x == 0)
+            while todo.size:
+                r = drawn[todo]
+                word = words[r, at[todo] + used[r]]
+                used[r] += 1
+                lo, hi = word & 0xFFFFFFFF, word >> 32
+                x[todo], half[r] = np.where(lo, lo, hi), np.where(lo, hi, 0)
+                todo = todo[(x[todo] == 0) & (used[r] <= spare)]
+            found.append((drawn, erred, x * 3 >> 32))
+        live = live[used[live] <= spare]
+    row, slot, pauli = (np.concatenate(v) for v in zip(*found))
+    return row, slot, pauli
 
 
-def _apply_paulis(amps: np.ndarray, hits: dict[int, list]) -> None:
-    """One gate's Pauli errors on a batch of states, in place.  ``hits``
-    maps a column to its Pauli string as [flipped bits, negated bits,
-    factor]: amplitude k of the column becomes factor * (-1)**parity(src
-    & negated) * amplitude src, where src = k ^ flipped."""
-    flip, negate, factor = zip(*hits.values())
-    src = np.arange(len(amps))[:, None] ^ np.array(flip)
-    sign = _SIGNS[np.bitwise_count(src & np.array(negate)) & 1]
-    cols = list(hits)
-    amps[:, cols] = amps[src, cols] * (sign * np.array(factor))
+def _draws(read: Callable[[int, int], np.ndarray], shots: int, slots: _Slots, reads: int, spare: int):
+    """Every shot's Pauli errors, as a list of ``(shot, slot, pauli)``
+    arrays, and its ``(shots, reads)`` readout uniforms.  ``read(i, k)``
+    gives the first k raw words of shot i's stream.
+
+    The shots are decoded in blocks of at most ``_BLOCK_WORDS`` raw
+    words, one row per shot: its slots' words, its readout words and
+    ``spare`` words for its Pauli draws, which come before the readout.
+    The shots whose draws need more are read again in rows twice as
+    wide."""
+    size = len(slots.rate)
+    width = size + reads + spare
+    step = max(1, _BLOCK_WORDS // width)
+    found, again, readout = [], [], np.empty((shots, reads))
+    for start in range(0, shots, step):
+        rows = min(step, shots - start)
+        words = np.empty((rows, width), dtype=np.uint64)
+        for r in range(rows):
+            words[r] = read(start + r, width)
+        used = np.zeros(rows, dtype=np.intp)
+        row, slot, pauli = _errors(words, slots, spare, used)
+        last = words[:, size : size + reads]
+        if row.size:
+            keep = used[row] <= spare
+            found.append((row[keep] + start, slot[keep], pauli[keep]))
+            again.append(np.flatnonzero(used > spare) + start)
+            at = size + np.minimum(used, spare)[:, None] + np.arange(reads)
+            last = words[np.arange(rows)[:, None], at]
+        readout[start : start + rows] = (last >> 11) * 2.0**-53
+    if again and (redo := np.concatenate(again)).size:
+        wider = width + spare
+        more, readout[redo] = _draws(lambda i, k: read(redo[i], k), len(redo), slots, reads, wider)
+        found += [(redo[shot], slot, pauli) for shot, slot, pauli in more]
+    return found, readout
+
+
+def _pauli_strings(n: int, slots: _Slots, shots: int, found: list) -> dict:
+    """The errors grouped by (gate, shot) into Pauli strings: for each
+    gate that has any, the shots' columns, flipped bits, negated bits
+    and Y counts.  X flips its qubit, Z negates it and Y = iXZ does
+    both; the qubits of one gate are distinct, so a sum of bits is
+    their OR."""
+    shot, slot, pauli = (np.concatenate(v) for v in zip(*found))
+    key = slots.gate[slot] * shots + shot
+    order = np.argsort(key)
+    key, qubit, pauli = key[order], slots.qubit[slot[order]], pauli[order]
+    first = np.ones(len(key), dtype=bool)  # the first error of each string
+    first[1:] = key[1:] != key[:-1]
+    bits = (pauli < 2).astype(np.intp) << qubit | (pauli > 0).astype(np.intp) << (qubit + n)
+    code = np.bincount(np.cumsum(first) - 1, weights=bits).astype(np.intp)  # exact: 2n < 53 bits
+    flip, negate = code & (2**n - 1), code >> n
+    ys = np.bitwise_count(flip & negate)
+    gate, col = np.divmod(key[first], shots)
+    cuts = [0, *(np.flatnonzero(gate[1:] != gate[:-1]) + 1).tolist(), len(gate)]
+    return {
+        int(gate[a]): (col[a:b], flip[a:b], negate[a:b], ys[a:b])
+        for a, b in zip(cuts, cuts[1:])
+    }
+
+
+def _apply_paulis(amps: np.ndarray, cols, flip, negate, ys) -> None:
+    """One gate's Pauli strings on a batch of states, in place: column
+    cols[j]'s amplitude k becomes i**ys[j] * (-1)**parity(src &
+    negate[j]) * amplitude src, where src = k ^ flip[j]."""
+    src = np.arange(len(amps))[:, None] ^ flip
+    power = (2 * np.bitwise_count(src & negate) + ys) & 3
+    amps[:, cols] = amps[src, cols] * _I_POWERS[power]
 
 
 def _trajectories(
     circ: Circuit,
     config: NoiseConfig,
-    keys: Iterable[int],
+    shots: int,
+    keys: Callable[[int, int], Sequence[int]],
     qubits: tuple[int, ...] | None,
 ) -> Iterator[str]:
-    """The measured bitstring of each shot, one shot per Philox key, in
-    key order.  This is the only trajectory path."""
+    """The measured bitstring of each shot, in shot order, where
+    ``keys(start, stop)`` gives the Philox keys of shots start to
+    stop - 1.  This is the only trajectory path."""
     n = circ.num_qubits
-    ground = new_state(n).amps
     slots = _Slots.of(circ, config)
     qubits = _subset(n, qubits)  # checked before any work
-    # A shot without errors uses one word per slot and 1 + len(qubits) for
-    # its readout; eight more cover a few Pauli draws.
-    window = min(_WINDOW, len(slots.rate) + len(qubits) + 9)
-    keys = iter(keys)
-    while chunk := list(islice(keys, max(1, _CHUNK_AMPS >> n))):
-        errors = defaultdict(dict)  # gate -> {column: Pauli string}
-        readout = np.empty((len(chunk), 1 + len(qubits)))  # measurement, then flips
-        for col, key in enumerate(chunk):
-            stream = _Stream(_PHILOX.raw(key), window)
-            for s, pauli in _errors(stream, slots):
-                flip, negate, factor = _SIGNED_PERMUTATIONS[pauli]
-                string = errors[slots.gate[s]].setdefault(col, [0, 0, 1])
-                string[0] |= flip << slots.qubit[s]
-                string[1] |= negate << slots.qubit[s]
-                string[2] *= factor
-            readout[col] = stream.uniforms(1 + len(qubits))
-        amps = np.repeat(ground[:, None], len(chunk), axis=1)
+    size = max(1, _CHUNK_AMPS >> n)
+    for start in range(0, shots, size):
+        chunk = keys(start, min(shots, start + size))
+        read = lambda i, k: _PHILOX.raw(chunk[i])(k)  # shot i's first k words
+        found, readout = _draws(read, len(chunk), slots, 1 + len(qubits), _SPARE)
+        strings = _pauli_strings(n, slots, len(chunk), found) if found else {}
+        amps = np.zeros((2**n, len(chunk)), dtype=complex)
+        amps[0] = 1.0  # every column starts in |0...0>
         for g, gate in enumerate(circ.gates):
             _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls)
-            if g in errors:
-                _apply_paulis(amps, errors[g])
+            if g in strings:
+                _apply_paulis(amps, *strings[g])
         marg = _marginal(amps, n, qubits)
-        flips = (readout[:, 1:] < config.readout_flip) @ (1 << np.arange(len(qubits)))
+        flips = (readout[:, 1:] < config.readout_flip).dot(1 << np.arange(len(qubits)))
+        column = marg[:, 0]
         for m in _draw(marg, readout[:, 0]) ^ flips:
-            yield _bitstring(m, marg[:, 0])
+            yield _bitstring(m, column)
 
 
 def run_trajectory(
@@ -263,7 +328,7 @@ def run_trajectory(
     readout flips apply to those bits.
     """
     check_seed("seed", seed, key=True)
-    return next(_trajectories(circ, config, (seed,), qubits))
+    return next(_trajectories(circ, config, 1, lambda start, stop: (seed,), qubits))
 
 
 def noisy_counts(
@@ -280,9 +345,13 @@ def noisy_counts(
     check_seed("seed", seed)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    # derive_seed(config.seed, seed, i), with the parts checked once.
-    keys = (_derive_seed(config.seed, seed, i) for i in range(shots))
+    # Shot indices are one 32-bit word of each key's hash.
+    if shots > 2**32:
+        raise ValueError(f"shots must be at most 2**32, got {shots}")
+    def keys(start: int, stop: int) -> np.ndarray:
+        return _derive_seeds(config.seed, seed, np.arange(start, stop))
+
     counts: dict[str, int] = {}
-    for bits in _trajectories(circ, config, keys, qubits):
+    for bits in _trajectories(circ, config, shots, keys, qubits):
         counts[bits] = counts.get(bits, 0) + 1
     return MeasurementCounts(counts, shots)

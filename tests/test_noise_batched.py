@@ -76,7 +76,7 @@ def test_run_trajectory_matches_reference(case):
     assert run_trajectory(circ, config, seed, qubits) == reference_trajectory(circ, config, seed, qubits)
 
 
-def test_chunks_and_windows_do_not_change_counts(monkeypatch):
+def test_chunks_blocks_and_spare_words_do_not_change_counts(monkeypatch):
     rng = np.random.default_rng(5)
     circ = random_circuit(4, 40, rng)
     config = NoiseConfig(p1=0.01, p2=0.1, readout_flip=0.05, seed=2)
@@ -85,9 +85,15 @@ def test_chunks_and_windows_do_not_change_counts(monkeypatch):
     # Seven shots per chunk gives eight chunks, the last one short.
     monkeypatch.setattr(noise, "_CHUNK_AMPS", 7 * 2**4)
     assert noisy_counts(circ, 50, config, 11).counts == whole
-    # Windows capped below the expected gap between errors.
-    monkeypatch.setattr(noise, "_WINDOW", 3)
+    # One spare word, fewer than most shots' Pauli draws take, so those
+    # shots are read again in wider rows.
+    monkeypatch.setattr(noise, "_SPARE", 1)
     assert noisy_counts(circ, 50, config, 11).counts == whole
+    # Blocks of a few rows (rows are at most 2 * 40 + 5 + 1 words), then
+    # of one row, however wide.
+    for cap in (3 * (len(circ) * 2 + 5 + 1), 1):
+        monkeypatch.setattr(noise, "_BLOCK_WORDS", cap)
+        assert noisy_counts(circ, 50, config, 11).counts == whole
 
 
 def test_circuit_without_gates():

@@ -13,9 +13,9 @@ from qbandit.noise import (
     _PAULIS,
     NoiseConfig,
     _apply_paulis,
-    _errors,
+    _draws,
+    _pauli_strings,
     _Slots,
-    _Stream,
     run_trajectory,
 )
 from qbandit.qpe import (
@@ -27,7 +27,7 @@ from qbandit.qpe import (
     eval_qubits,
     run_qpe,
 )
-from qbandit.statevector import Circuit, _apply_matrix, _draw, _marginal, h
+from qbandit.statevector import Circuit, _apply_matrix, _draw, _marginal, h, unitary
 from test_noise_batched import reference_counts
 
 ALWAYS = NoiseConfig(p1=1.0, p2=1.0, readout_flip=0.0)
@@ -59,18 +59,28 @@ def generator_draws(bitgen, slots, readout):
     return errors, rng.random(readout)
 
 
-def decoded_draws(bitgen, slots, readout):
-    stream = _Stream(bitgen.random_raw, noise._WINDOW)
-    errors = list(_errors(stream, slots))
-    return errors, stream.uniforms(readout)
+def decoded_draws(make_bitgen, slots, readout, spare):
+    """A shot's errors and readout uniforms as ``noise._draws`` decodes
+    them from raw words, and how many times it read the stream: a row
+    too short for the shot's Pauli draws is read again from the start."""
+    reads = []
+
+    def read(i, k):
+        reads.append(k)
+        return make_bitgen().random_raw(k)
+
+    found, uniforms = _draws(read, 1, slots, readout, spare)
+    # One error per slot, so slot order is stream order.
+    errors = sorted((int(s), int(p)) for _, slot, pauli in found for s, p in zip(slot, pauli))
+    return errors, uniforms[0], len(reads)
 
 
-def assert_same_draws(make_bitgen, slots, readout=2):
+def assert_same_draws(make_bitgen, slots, readout=2, spare=noise._SPARE):
     want_errors, want_readout = generator_draws(make_bitgen(), slots, readout)
-    got_errors, got_readout = decoded_draws(make_bitgen(), slots, readout)
+    got_errors, got_readout, reads = decoded_draws(make_bitgen, slots, readout, spare)
     assert got_errors == want_errors
     assert np.array_equal(got_readout, want_readout)
-    return got_errors
+    return got_errors, reads
 
 
 def one_qubit_gates(count):
@@ -83,7 +93,7 @@ def test_high_half_is_carried_to_the_next_gates_pauli():
     # word 3.
     low, high = 0x8000_0000, 0xC000_0000
     words = [5, (high << 32) | low, 7, 9]
-    errors = assert_same_draws(lambda: philox(words), one_qubit_gates(3))
+    errors, _ = assert_same_draws(lambda: philox(words), one_qubit_gates(3))
     assert errors[:2] == [(0, (low * 3) >> 32), (1, (high * 3) >> 32)]
 
 
@@ -91,9 +101,9 @@ def test_zero_half_is_redrawn():
     # A low half of 0 is Lemire's one rejected value for integers(3):
     # the draw moves on to the high half, and a zero word moves on twice.
     high = 0x5555_5556
-    errors = assert_same_draws(lambda: philox([1, high << 32, 2, 0]), one_qubit_gates(3))
+    errors, _ = assert_same_draws(lambda: philox([1, high << 32, 2, 0]), one_qubit_gates(3))
     assert errors[0] == (0, (high * 3) >> 32) == (0, 1)
-    errors = assert_same_draws(lambda: philox([1, 0, 3 << 32]), one_qubit_gates(2))
+    errors, _ = assert_same_draws(lambda: philox([1, 0, 3 << 32]), one_qubit_gates(2))
     assert errors[0] == (0, 0)
 
 
@@ -102,20 +112,21 @@ def test_uniform_edges():
     # The all-ones word is the largest uniform below 1.0.
     slots = _Slots.of(Circuit(2, (h(0), h(0).controlled(1))), NoiseConfig(p1=0.0, p2=1.0))
     top = 2**64 - 1
-    errors = assert_same_draws(lambda: philox([0, top, 0]), slots)
+    errors, _ = assert_same_draws(lambda: philox([0, top, 0]), slots)
     assert [s for s, _ in errors] == [1, 2]
 
 
-@pytest.mark.parametrize("window", [1, 2, 3, 5])
-def test_refill_at_a_windows_end(monkeypatch, window):
-    monkeypatch.setattr(noise, "_WINDOW", window)
-    rng = np.random.default_rng(window)
+@pytest.mark.parametrize("spare", [1, 2, 3, 5])
+def test_reread_past_the_spare_words(spare):
+    rng = np.random.default_rng(spare)
     for rate in (0.05, 0.4, 1.0):
         slots = _Slots.of(random_circuit(3, 12, rng), NoiseConfig(p1=rate, p2=rate))
         for key in range(20):
-            assert_same_draws(lambda: philox(key=key), slots, readout=4)
-        # A hand-built zero half straddling the refill as well.
-        assert_same_draws(lambda: philox([0, 1 << 32, 0, 5]), slots, readout=4)
+            _, reads = assert_same_draws(lambda: philox(key=key), slots, readout=4, spare=spare)
+        # A hand-built zero half among the spare words as well.
+        assert_same_draws(lambda: philox([0, 1 << 32, 0, 5]), slots, readout=4, spare=spare)
+        if rate == 1.0:  # every slot errs, so the draws outrun the spare words
+            assert reads > 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,16 +139,18 @@ def test_refill_at_a_windows_end(monkeypatch, window):
 def test_pauli_strings_match_the_matrices_bitwise(width, seed, paulis, batch):
     rng = np.random.default_rng(seed)
     qubits = rng.permutation(width)[: len(paulis)].tolist()
+    paulis = paulis[: len(qubits)]
     amps = rng.normal(size=(2**width, batch)) + 1j * rng.normal(size=(2**width, batch))
     cols = sorted(set(rng.integers(batch, size=batch).tolist()))
     want = amps.copy()
-    string = [0, 0, 1]
     for qubit, pauli in zip(qubits, paulis):
         for col in cols:
             _apply_matrix(want[:, col], width, _PAULIS[pauli], (qubit,), ())
-        flip, negate, factor = noise._SIGNED_PERMUTATIONS[pauli]
-        string = [string[0] | flip << qubit, string[1] | negate << qubit, string[2] * factor]
-    _apply_paulis(amps, {col: list(string) for col in cols})
+    # One gate on the qubits, erring in every slot of each listed column.
+    slots = _Slots.of(Circuit(width, (unitary(np.eye(2 ** len(qubits)), qubits),)), NoiseConfig())
+    slot = np.arange(len(paulis))
+    found = [(np.repeat(cols, len(slot)), np.tile(slot, len(cols)), np.tile(paulis, len(cols)))]
+    _apply_paulis(amps, *_pauli_strings(width, slots, batch, found)[0])
     assert np.array_equal(amps, want)
 
 
