@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
-from .statevector import Circuit, Gate, ry, x
+from .statevector import Circuit, Gate, check_number, ry, x
 
 ACTION_QUBIT = 0
 REWARD_QUBIT = 1
@@ -31,8 +32,8 @@ class BanditParams:
     theta_right: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta_left) and math.isfinite(self.theta_right)):
-            raise ValueError("arm angles must be finite")
+        check_number("theta_left", self.theta_left, numbers.Real)
+        check_number("theta_right", self.theta_right, numbers.Real)
 
     def theta(self, arm: Arm) -> float:
         return self.theta_left if arm is Arm.LEFT else self.theta_right
@@ -52,8 +53,7 @@ class PolicySpec:
     theta_policy: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.p_left <= 1.0:
-            raise ValueError(f"p_left must be in [0, 1], got {self.p_left}")
+        check_number("p_left", self.p_left, numbers.Real, 0, 1)
         object.__setattr__(
             self, "theta_policy", 2.0 * math.acos(math.sqrt(self.p_left))
         )
@@ -61,8 +61,7 @@ class PolicySpec:
 
 def angle_from_frequency(f: float) -> float:
     """Rotation angle whose arm wins with probability ``f``: 2*arcsin(sqrt(f))."""
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"frequency must be in [0, 1], got {f}")
+    check_number("frequency", f, numbers.Real, 0, 1)
     return 2.0 * math.asin(math.sqrt(f))
 
 

@@ -10,6 +10,7 @@ episodes, while the quantum run uses ~1/eps circuit applications.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,7 @@ def monte_carlo_estimate(
     """Mean reward over ``num_samples`` i.i.d. episodes.  Episode i picks
     its arm with uniform i of the Philox stream keyed by ``seed`` and
     draws its reward with uniform ``num_samples + i``."""
-    check_number("num_samples", num_samples)
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    check_number("num_samples", num_samples, low=1)
     check_seed("seed", seed, key=True)
     arm_draws, reward_draws = _PHILOX.uniforms(seed, 2 * num_samples).reshape(2, -1)
     win_prob = np.where(
@@ -52,6 +51,7 @@ def mc_samples_needed(epsilon: float, delta: float) -> int:
     clamped to at least one sample."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_number("delta", delta, numbers.Real)
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     return max(1, math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2)))

@@ -19,7 +19,7 @@ import math
 import numbers
 import platform
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ from .training import (
     synthesize_dataset,
     write_dataset,
     write_result_json,
-    write_trace_csv,
 )
 
 
@@ -168,7 +167,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list | tuple]) -> None:
 
 def _write_training(result: TrainingResult, out_dir: Path) -> list[str]:
     """Write a training run's trace, result and plots; returns their names."""
-    write_trace_csv(result, out_dir / "trace.csv")
+    header = ["iteration", "theta_left", "theta_right", "loss"]
+    _write_csv(out_dir / "trace.csv", header, [astuple(e) for e in result.trace])
     write_result_json(result, out_dir / "result.json")
     iters = [(e.iteration, e.loss) for e in result.trace]
     curve = line_chart(
@@ -292,15 +292,20 @@ def _qpe_grid(
     shots: int,
     base_seed: int,
 ) -> tuple[list[str], list[str]]:
-    """Run QPE for every (backend, n, p_left), sub-run i seeded with
-    derive_seed(base_seed, i); each success writes its CSV and a panel of
-    histograms.svg.  Returns (output file names, failure messages)."""
+    """Run QPE in ``out_dir`` for every (backend, n, p_left), sub-run i
+    seeded with derive_seed(base_seed, i); each success writes its CSV and
+    a panel of histograms.svg.  Returns (output file names, failure
+    messages).  A grid with two sub-runs of one name is refused first."""
+    runs: dict[str, tuple[str, int, float]] = {}
+    for backend_name, n, p_left in itertools.product(backends, n_values, policies):
+        run_id = f"qpe_pleft{p_left:g}_n{n}_{backend_name}"
+        _require(run_id not in runs, "qpe", f"two sub-runs would both write {run_id}.csv")
+        runs[run_id] = (backend_name, n, p_left)
+    _make_dir(out_dir)
     outputs: list[str] = []
     failures: list[str] = []
     panels: dict[tuple[str, int], list[tuple[str, ValueHistogram]]] = {}
-    grid_points = itertools.product(backends, n_values, policies)
-    for run_index, (backend_name, n, p_left) in enumerate(grid_points):
-        run_id = f"qpe_pleft{p_left:g}_n{n}_{backend_name}"
+    for run_index, (run_id, (backend_name, n, p_left)) in enumerate(runs.items()):
         try:
             qpe_cfg = QpeConfig(
                 n=n,
@@ -360,7 +365,6 @@ def cmd_qpe(args: argparse.Namespace) -> int:
     backends = [str(b) for b in _as_list(cfg["backend"])]
 
     out_dir = Path(args.out)
-    _make_dir(out_dir)
     outputs, failures = _qpe_grid(
         out_dir, params, noise, backends, n_values, policies, shots, base_seed
     )
@@ -375,20 +379,26 @@ def cmd_qpe(args: argparse.Namespace) -> int:
 # baseline
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str, smallest: int) -> list[int]:
     try:
         lo, hi = text.split("..")
         lo_i, hi_i = int(lo), int(hi)
     except ValueError as exc:
         raise ConfigError(f"n-range: expected 'a..b', got {text!r}") from exc
-    _require(1 <= lo_i <= hi_i, "n-range", f"need 1 <= a <= b, got {text!r}")
+    _require(
+        smallest <= lo_i <= hi_i,
+        "n-range",
+        f"need {smallest} <= a <= b, got {text!r}; below n={smallest} the error bound is 1 or more",
+    )
     return list(range(lo_i, hi_i + 1))
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     v = args.v
     _require(0.0 <= v <= 1.0, "v", f"target value must be in [0, 1], got {v}")
-    n_values = _parse_n_range(args.n_range)
+    # Hoeffding's count needs an error bound below 1; the bound falls as n grows.
+    smallest = next(n for n in itertools.count(1) if error_bound(n, v) < 1.0)
+    n_values = _parse_n_range(args.n_range, smallest)
     seed = args.seed
     _require(seed >= 0, "seed", f"must be non-negative, got {seed}")
     confidence = 8.0 / math.pi**2

@@ -115,10 +115,7 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("p1", "p2", "readout_flip"):
-            value = getattr(self, name)
-            check_number(name, value, numbers.Real)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+            check_number(name, getattr(self, name), numbers.Real, 0, 1)
         check_seed("seed", self.seed)
 
 
@@ -340,14 +337,10 @@ def noisy_counts(
 ) -> MeasurementCounts:
     """Aggregate independent trajectories; trajectory i is keyed by
     (config.seed, seed, i), so runs are reproducible shot by shot."""
-    check_number("shots", shots)
+    # Shot indices are one 32-bit word of each key's hash.
+    check_number("shots", shots, low=1, high=2**32)
     check_seed("config.seed", config.seed)
     check_seed("seed", seed)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    # Shot indices are one 32-bit word of each key's hash.
-    if shots > 2**32:
-        raise ValueError(f"shots must be at most 2**32, got {shots}")
     def keys(start: int, stop: int) -> np.ndarray:
         return _derive_seeds(config.seed, seed, np.arange(start, stop))
 

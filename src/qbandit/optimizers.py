@@ -72,6 +72,12 @@ class _Budget:
         return value
 
 
+def check_radii(rho_start: float, rho_end: float) -> None:
+    """Raise ValueError unless rho_start > rho_end > 0."""
+    if not rho_start > rho_end > 0:
+        raise ValueError(f"need rho_start > rho_end > 0, got {rho_start}, {rho_end}")
+
+
 class _Minimizer:
     """The one ``minimize``; a subclass supplies ``_search``, which appends to
     ``states`` unless it is None."""
@@ -91,10 +97,7 @@ class _Minimizer:
         spent.  With ``keep_states``, the result lists an
         ``OptimizerState`` per trust-region model step; Nelder-Mead
         builds no model, so its list stays empty."""
-        if not rho_start > rho_end > 0:
-            raise ValueError(
-                f"need rho_start > rho_end > 0, got {rho_start}, {rho_end}"
-            )
+        check_radii(rho_start, rho_end)
         budget = _Budget(fn, max_evals, x0)
         states: list[OptimizerState] | None = [] if keep_states else None
         try:

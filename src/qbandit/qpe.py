@@ -18,6 +18,7 @@ onto y in [0, 2^(n-1)], giving 2^(n-1)+1 distinct grid values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -140,8 +141,7 @@ def build_qpe_circuit(q_op: GroverOperator, n: int) -> Circuit:
     evaluation qubit k realized as 2^k repetitions of Q's gate list,
     then the inverse Fourier transform on the evaluation register.
     """
-    if not 1 <= n <= MAX_EVAL_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_EVAL_QUBITS}], got {n}")
+    check_number("n", n, low=1, high=MAX_EVAL_QUBITS)
     register = eval_qubits(n)
     gates: list[Gate] = []
     gates.extend(q_op.state_prep.gates)
@@ -156,8 +156,7 @@ def build_qpe_circuit(q_op: GroverOperator, n: int) -> Circuit:
 
 def outcome_to_value(y: int, n: int) -> float:
     """Estimate encoded by register outcome y: sin^2(pi * y / 2^n)."""
-    if not 0 <= y < 2**n:
-        raise ValueError(f"outcome {y} outside [0, {2**n})")
+    check_number("y", y, low=0, high=2**n - 1)
     return math.sin(math.pi * y / 2**n) ** 2
 
 
@@ -169,18 +168,15 @@ def fold_outcome(y: int, n: int) -> int:
 def value_grid(n: int) -> list[float]:
     """The 2^(n-1) + 1 distinct estimates reachable with an n-qubit
     evaluation register, sorted ascending."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_number("n", n, low=1)
     return [outcome_to_value(y, n) for y in range(2 ** (n - 1) + 1)]
 
 
 def error_bound(n: int, a: float) -> float:
     """Estimation-error radius that holds with probability >= 8/pi^2:
     2*pi*sqrt(a(1-a))/2^n + pi^2/2^(2n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"a must be in [0, 1], got {a}")
+    check_number("n", n, low=1)
+    check_number("a", a, numbers.Real, 0, 1)
     m = 2**n
     return 2.0 * math.pi * math.sqrt(a * (1.0 - a)) / m + math.pi**2 / m**2
 
@@ -188,8 +184,7 @@ def error_bound(n: int, a: float) -> float:
 def qsample_count(n: int) -> int:
     """Environment-circuit applications in one run: one initial A plus an
     A and an Adj(A) inside each of the 2^n - 1 Grover applications."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_number("n", n, low=1)
     return 2 * (2**n - 1) + 1
 
 
@@ -202,14 +197,10 @@ class QpeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "shots"):
-            check_number(name, getattr(self, name))
+        check_number("n", self.n, low=1, high=MAX_EVAL_QUBITS)
+        check_number("shots", self.shots, low=1)
         check_seed("seed", self.seed)
         check_backend(self.backend, self.noise)
-        if not 1 <= self.n <= MAX_EVAL_QUBITS:
-            raise ValueError(f"n must be in [1, {MAX_EVAL_QUBITS}], got {self.n}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ state.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import threading
 from dataclasses import dataclass, field, replace
@@ -132,11 +133,18 @@ class SimulationError(ValueError):
     """Raised for invalid circuits, gates, or simulator inputs."""
 
 
-def check_number(name: str, value, kind: type = numbers.Integral) -> None:
+def check_number(name: str, value, kind: type = numbers.Integral, low=None, high=None) -> None:
     """Raise ValueError unless ``value`` is a ``kind`` (numbers.Integral or
-    numbers.Real).  Bools are refused; numpy scalars are accepted."""
+    numbers.Real) in [low, high], a bound of None being open.  Bools, NaN
+    and infinities are refused; numpy scalars are accepted.  Integers skip
+    the finiteness test, which overflows on one too large for a float."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
 
 
 def check_seed(name: str, value, key: bool = False) -> None:

@@ -9,7 +9,6 @@ angles) until the evaluation budget is spent.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -22,7 +21,7 @@ import numpy as np
 
 from .backends import Backend, IdealBackend
 from .bandit import REWARD_QUBIT, Arm, BanditParams, build_arm_circuit
-from .optimizers import OPTIMIZERS
+from .optimizers import OPTIMIZERS, check_radii
 from .statevector import _PHILOX, check_number, check_seed, derive_seed
 
 
@@ -66,9 +65,8 @@ class Frequencies:
     f_right: float
 
     def __post_init__(self):
-        for name, value in (("f_left", self.f_left), ("f_right", self.f_right)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        check_number("f_left", self.f_left, numbers.Real, 0, 1)
+        check_number("f_right", self.f_right, numbers.Real, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("shots_per_eval", "max_iterations"):
-            check_number(name, getattr(self, name))
+            check_number(name, getattr(self, name), low=1)
         check_seed("seed", self.seed)
         for name in ("rho_start", "rho_end"):
             check_number(name, getattr(self, name), numbers.Real)
@@ -93,14 +91,7 @@ class TrainConfig:
         for angle in theta:
             check_number("initial_theta", angle, numbers.Real)
         object.__setattr__(self, "initial_theta", tuple(theta))
-        if self.shots_per_eval < 1:
-            raise ValueError(f"shots_per_eval must be >= 1, got {self.shots_per_eval}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.rho_start > self.rho_end > 0:
-            raise ValueError(
-                f"need rho_start > rho_end > 0, got {self.rho_start}, {self.rho_end}"
-            )
+        check_radii(self.rho_start, self.rho_end)
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(
                 f"unknown optimizer {self.optimizer!r}; expected one of {sorted(OPTIMIZERS)}"
@@ -180,13 +171,9 @@ def synthesize_dataset(
     pull i of the left arm wins when uniform i of the Philox stream keyed
     by ``seed`` is below ``f_left``, and the right arm's pulls take the
     next ``pulls_per_arm`` uniforms."""
-    for name, f in (("f_left", f_left), ("f_right", f_right)):
-        check_number(name, f, numbers.Real)
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {f}")
-    check_number("pulls_per_arm", pulls_per_arm)
-    if pulls_per_arm < 1:
-        raise ValueError(f"pulls_per_arm must be >= 1, got {pulls_per_arm}")
+    check_number("f_left", f_left, numbers.Real, 0, 1)
+    check_number("f_right", f_right, numbers.Real, 0, 1)
+    check_number("pulls_per_arm", pulls_per_arm, low=1)
     check_seed("seed", seed, key=True)
     uniforms = _PHILOX.uniforms(seed, 2 * pulls_per_arm).reshape(2, -1)
     records: list[tuple[Arm, int]] = []
@@ -218,8 +205,7 @@ def measured_frequencies(
     """Run both arm circuits for ``shots`` shots and return the measured
     reward frequencies.  Each arm gets its own stream derived from
     (seed, arm index)."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_number("shots", shots, low=1)
     values = []
     for index, arm in enumerate((Arm.LEFT, Arm.RIGHT)):
         circ = build_arm_circuit(arm, params)
@@ -284,16 +270,6 @@ def optimize(
         final_theta=(float(final_theta[0]), float(final_theta[1])),
         final_loss=final_loss,
     )
-
-
-def write_trace_csv(result: TrainingResult, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "theta_left", "theta_right", "loss"])
-        for entry in result.trace:
-            writer.writerow(
-                [entry.iteration, repr(entry.theta_left), repr(entry.theta_right), repr(entry.loss)]
-            )
 
 
 def write_result_json(result: TrainingResult, path: str | Path) -> None:
