@@ -110,8 +110,7 @@ class NoisyBackend(IdealBackend):
         seed: int,
         qubits: Iterable[int] | None = None,
     ) -> MeasurementCounts:
-        qs = None if qubits is None else tuple(qubits)
-        return noisy_counts(circ, shots, self.noise, seed, qs)
+        return noisy_counts(circ, shots, self.noise, seed, qubits)
 
     def exact_probabilities(
         self, circ: Circuit, qubits: Iterable[int] | None = None

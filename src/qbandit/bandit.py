@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 
-from .statevector import Circuit, Gate, check_number, ry, x
+from .statevector import Circuit, Gate, check_real, ry, x
 
 ACTION_QUBIT = 0
 REWARD_QUBIT = 1
@@ -32,8 +31,8 @@ class BanditParams:
     theta_right: float
 
     def __post_init__(self):
-        check_number("theta_left", self.theta_left, numbers.Real)
-        check_number("theta_right", self.theta_right, numbers.Real)
+        check_real("theta_left", self.theta_left)
+        check_real("theta_right", self.theta_right)
 
     def theta(self, arm: Arm) -> float:
         return self.theta_left if arm is Arm.LEFT else self.theta_right
@@ -53,7 +52,7 @@ class PolicySpec:
     theta_policy: float = field(init=False)
 
     def __post_init__(self):
-        check_number("p_left", self.p_left, numbers.Real, 0, 1)
+        check_real("p_left", self.p_left, 0, 1)
         object.__setattr__(
             self, "theta_policy", 2.0 * math.acos(math.sqrt(self.p_left))
         )
@@ -61,7 +60,7 @@ class PolicySpec:
 
 def angle_from_frequency(f: float) -> float:
     """Rotation angle whose arm wins with probability ``f``: 2*arcsin(sqrt(f))."""
-    check_number("frequency", f, numbers.Real, 0, 1)
+    check_real("frequency", f, 0, 1)
     return 2.0 * math.asin(math.sqrt(f))
 
 

@@ -10,14 +10,13 @@ episodes, while the quantum run uses ~1/eps circuit applications.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bandit import BanditParams, PolicySpec, reward_probability
 from .qpe import qsample_count
-from .statevector import _PHILOX, check_number, check_seed
+from .statevector import _PHILOX, check_number, check_real, check_seed
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ def mc_samples_needed(epsilon: float, delta: float) -> int:
     clamped to at least one sample."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    check_number("delta", delta, numbers.Real)
+    check_real("delta", delta)
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     return max(1, math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2)))

@@ -30,7 +30,7 @@ from .bandit import BanditParams, PolicySpec, angle_from_frequency
 from .baseline import mc_samples_needed, monte_carlo_estimate, qpe_qsample_count
 from .noise import NoiseConfig
 from .qpe import QpeConfig, ValueHistogram, error_bound, run_qpe
-from .statevector import check_number, derive_seed
+from .statevector import check_number, check_real, derive_seed
 from .svg import bar_chart, line_chart, panel_grid
 from .training import (
     TrainConfig,
@@ -94,10 +94,14 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
-def _number(value, field: str, kind: type):
-    """``value`` itself once it is a number of ``kind``; else a ConfigError."""
+def _number(value, field: str, kind: type, low=None, high=None):
+    """``value`` itself once it is a number of ``kind`` in [low, high]
+    (``check_real`` checks a real); else a ConfigError, "field: message"."""
     try:
-        check_number(field, value, kind)
+        if kind is numbers.Real:
+            check_real(f"{field}:", value, low, high)
+        else:
+            check_number(f"{field}:", value, kind, low, high)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return value
@@ -355,9 +359,8 @@ def cmd_qpe(args: argparse.Namespace) -> int:
 
     params = _resolve_qpe_env(args, cfg)
     noise = _section(NoiseConfig, cfg, "noise")
-    base_seed = _number(cfg["qpe"]["seed"], "qpe.seed", numbers.Integral)
-    _require(base_seed >= 0, "qpe.seed", f"must be non-negative, got {base_seed}")
-    shots = _number(cfg["qpe"]["shots"], "qpe.shots", numbers.Integral)
+    base_seed = _number(cfg["qpe"]["seed"], "qpe.seed", numbers.Integral, low=0)
+    shots = _number(cfg["qpe"]["shots"], "qpe.shots", numbers.Integral, low=1)
     policies = [
         float(_number(p, "policy.p_left", numbers.Real)) for p in _as_list(cfg["policy"]["p_left"])
     ]
@@ -394,13 +397,11 @@ def _parse_n_range(text: str, smallest: int) -> list[int]:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    v = args.v
-    _require(0.0 <= v <= 1.0, "v", f"target value must be in [0, 1], got {v}")
+    v = _number(args.v, "v", numbers.Real, 0, 1)
     # Hoeffding's count needs an error bound below 1; the bound falls as n grows.
     smallest = next(n for n in itertools.count(1) if error_bound(n, v) < 1.0)
     n_values = _parse_n_range(args.n_range, smallest)
-    seed = args.seed
-    _require(seed >= 0, "seed", f"must be non-negative, got {seed}")
+    seed = _number(args.seed, "seed", numbers.Integral, low=0)
     confidence = 8.0 / math.pi**2
 
     out_dir = Path(args.out)

@@ -50,8 +50,8 @@ in chunks of at most ``_CHUNK_AMPS`` amplitudes.  Each gate is one
 by (gate, shot) into Pauli strings, and a gate's strings are one
 gather, multiply and scatter of the columns they hit: a Pauli string
 only permutes amplitudes and multiplies them by ±1 or ±i, so this is
-exact.  The readout is one marginal, one draw and one XOR of the
-flipped bits for the whole chunk.
+exact.  The readout is one marginal, draw, readout-flip XOR and tally
+per chunk; a bitstring is rendered once per outcome, never per shot.
 
 Default rates are invented (no hardware calibration behind them),
 chosen so that deeper circuits visibly degrade more.
@@ -60,9 +60,8 @@ chosen so that deeper circuits visibly degrade more.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,6 +76,7 @@ from .statevector import (
     _marginal,
     _subset,
     check_number,
+    check_real,
     check_seed,
 )
 
@@ -115,7 +115,7 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("p1", "p2", "readout_flip"):
-            check_number(name, getattr(self, name), numbers.Real, 0, 1)
+            check_real(name, getattr(self, name), 0, 1)
         check_seed("seed", self.seed)
 
 
@@ -284,15 +284,17 @@ def _trajectories(
     config: NoiseConfig,
     shots: int,
     keys: Callable[[int, int], Sequence[int]],
-    qubits: tuple[int, ...] | None,
-) -> Iterator[str]:
-    """The measured bitstring of each shot, in shot order, where
-    ``keys(start, stop)`` gives the Philox keys of shots start to
-    stop - 1.  This is the only trajectory path."""
+    qubits: Iterable[int] | None,
+) -> dict[str, int]:
+    """Each measured bitstring's shot count, in order of its first shot,
+    where ``keys(start, stop)`` gives the Philox keys of shots start to
+    stop - 1.  This is the only trajectory path.  A chunk's outcomes are
+    tallied in one pass; a bitstring is rendered once per outcome."""
     n = circ.num_qubits
     slots = _Slots.of(circ, config)
     qubits = _subset(n, qubits)  # checked before any work
     size = max(1, _CHUNK_AMPS >> n)
+    tally: dict[int, int] = {}
     for start in range(0, shots, size):
         chunk = keys(start, min(shots, start + size))
         read = lambda i, k: _PHILOX.raw(chunk[i])(k)  # shot i's first k words
@@ -306,16 +308,19 @@ def _trajectories(
                 _apply_paulis(amps, *strings[g])
         marg = _marginal(amps, n, qubits)
         flips = (readout[:, 1:] < config.readout_flip).dot(1 << np.arange(len(qubits)))
-        column = marg[:, 0]
-        for m in _draw(marg, readout[:, 0]) ^ flips:
-            yield _bitstring(m, column)
+        outcomes = _draw(marg, readout[:, 0]) ^ flips
+        seen, first, reps = np.unique(outcomes, return_index=True, return_counts=True)
+        order = np.argsort(first)  # first-seen order
+        for m, c in zip(seen[order].tolist(), reps[order].tolist()):
+            tally[m] = tally.get(m, 0) + c
+    return {_bitstring(m, marg[:, 0]): c for m, c in tally.items()}
 
 
 def run_trajectory(
     circ: Circuit,
     config: NoiseConfig,
     seed: int,
-    qubits: tuple[int, ...] | None = None,
+    qubits: Iterable[int] | None = None,
 ) -> str:
     """Execute one noisy shot from the Philox stream keyed by ``seed``;
     returns the measured bitstring.
@@ -325,7 +330,8 @@ def run_trajectory(
     readout flips apply to those bits.
     """
     check_seed("seed", seed, key=True)
-    return next(_trajectories(circ, config, 1, lambda start, stop: (seed,), qubits))
+    (bits,) = _trajectories(circ, config, 1, lambda start, stop: (seed,), qubits)
+    return bits
 
 
 def noisy_counts(
@@ -333,7 +339,7 @@ def noisy_counts(
     shots: int,
     config: NoiseConfig,
     seed: int,
-    qubits: tuple[int, ...] | None = None,
+    qubits: Iterable[int] | None = None,
 ) -> MeasurementCounts:
     """Aggregate independent trajectories; trajectory i is keyed by
     (config.seed, seed, i), so runs are reproducible shot by shot."""
@@ -341,10 +347,5 @@ def noisy_counts(
     check_number("shots", shots, low=1, high=2**32)
     check_seed("config.seed", config.seed)
     check_seed("seed", seed)
-    def keys(start: int, stop: int) -> np.ndarray:
-        return _derive_seeds(config.seed, seed, np.arange(start, stop))
-
-    counts: dict[str, int] = {}
-    for bits in _trajectories(circ, config, shots, keys, qubits):
-        counts[bits] = counts.get(bits, 0) + 1
-    return MeasurementCounts(counts, shots)
+    keys = lambda start, stop: _derive_seeds(config.seed, seed, np.arange(start, stop))
+    return MeasurementCounts(_trajectories(circ, config, shots, keys, qubits), shots)

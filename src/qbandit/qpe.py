@@ -18,7 +18,6 @@ onto y in [0, 2^(n-1)], giving 2^(n-1)+1 distinct grid values.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +31,7 @@ from .statevector import (
     Circuit,
     Gate,
     check_number,
+    check_real,
     check_seed,
     circuit_unitary,
     h,
@@ -176,7 +176,7 @@ def error_bound(n: int, a: float) -> float:
     """Estimation-error radius that holds with probability >= 8/pi^2:
     2*pi*sqrt(a(1-a))/2^n + pi^2/2^(2n)."""
     check_number("n", n, low=1)
-    check_number("a", a, numbers.Real, 0, 1)
+    check_real("a", a, 0, 1)
     m = 2**n
     return 2.0 * math.pi * math.sqrt(a * (1.0 - a)) / m + math.pi**2 / m**2
 

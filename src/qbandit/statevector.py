@@ -137,23 +137,32 @@ def check_number(name: str, value, kind: type = numbers.Integral, low=None, high
     """Raise ValueError unless ``value`` is a ``kind`` (numbers.Integral or
     numbers.Real) in [low, high], a bound of None being open.  Bools, NaN
     and infinities are refused; numpy scalars are accepted.  Integers skip
-    the finiteness test, which overflows on one too large for a float."""
+    the finiteness test, which overflows on one too large for a float;
+    ``check_real`` refuses those in a real field."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
     if not isinstance(value, numbers.Integral) and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if (low is not None and value < low) or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        bounds = f"in [{low}, {high}]" if high is not None else f">= {low}" if low else "non-negative"
         raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
+def check_real(name: str, value, low=None, high=None) -> None:
+    """``check_number`` for a real field, whose value is used as a float:
+    an integer too large for one is refused too."""
+    check_number(name, value, numbers.Real, low, high)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must convert to a finite float, got an integer too large for one") from None
 
 
 def check_seed(name: str, value, key: bool = False) -> None:
     """Raise ValueError unless ``value`` is a non-negative integer, as
     ``check_number`` reads one.  A ``key``, used as a Philox key itself
     rather than hashed into one, must also be below 2**128."""
-    check_number(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    check_number(name, value, low=0)
     if key and value >= 2**128:
         raise ValueError(f"{name} must be below 2**128, got {value}")
 

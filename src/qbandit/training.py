@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 from .backends import Backend, IdealBackend
 from .bandit import REWARD_QUBIT, Arm, BanditParams, build_arm_circuit
 from .optimizers import OPTIMIZERS, check_radii
-from .statevector import _PHILOX, check_number, check_seed, derive_seed
+from .statevector import _PHILOX, check_number, check_real, check_seed, derive_seed
 
 
 class DatasetError(ValueError):
@@ -65,8 +64,8 @@ class Frequencies:
     f_right: float
 
     def __post_init__(self):
-        check_number("f_left", self.f_left, numbers.Real, 0, 1)
-        check_number("f_right", self.f_right, numbers.Real, 0, 1)
+        check_real("f_left", self.f_left, 0, 1)
+        check_real("f_right", self.f_right, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -84,12 +83,12 @@ class TrainConfig:
             check_number(name, getattr(self, name), low=1)
         check_seed("seed", self.seed)
         for name in ("rho_start", "rho_end"):
-            check_number(name, getattr(self, name), numbers.Real)
+            check_real(name, getattr(self, name))
         theta = self.initial_theta
         if not isinstance(theta, (tuple, list)) or len(theta) != 2:
             raise ValueError(f"initial_theta must be two angles, got {theta!r}")
         for angle in theta:
-            check_number("initial_theta", angle, numbers.Real)
+            check_real("initial_theta", angle)
         object.__setattr__(self, "initial_theta", tuple(theta))
         check_radii(self.rho_start, self.rho_end)
         if self.optimizer not in OPTIMIZERS:
@@ -171,8 +170,8 @@ def synthesize_dataset(
     pull i of the left arm wins when uniform i of the Philox stream keyed
     by ``seed`` is below ``f_left``, and the right arm's pulls take the
     next ``pulls_per_arm`` uniforms."""
-    check_number("f_left", f_left, numbers.Real, 0, 1)
-    check_number("f_right", f_right, numbers.Real, 0, 1)
+    check_real("f_left", f_left, 0, 1)
+    check_real("f_right", f_right, 0, 1)
     check_number("pulls_per_arm", pulls_per_arm, low=1)
     check_seed("seed", seed, key=True)
     uniforms = _PHILOX.uniforms(seed, 2 * pulls_per_arm).reshape(2, -1)
