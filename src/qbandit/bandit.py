@@ -17,6 +17,10 @@ from .statevector import Circuit, Gate, check_real, ry, x
 ACTION_QUBIT = 0
 REWARD_QUBIT = 1
 
+# Built once: a Gate is frozen and its matrix read-only, so every circuit
+# can share it, and each evaluation builds only its RY gates.
+_FLIP_ACTION = x(ACTION_QUBIT)
+
 
 class Arm(enum.Enum):
     LEFT = "left"
@@ -79,9 +83,9 @@ def _environment_gates(params: BanditParams) -> tuple[Gate, ...]:
     # rotation triggers on |0>_A; the trailing controlled rotation then
     # handles the right arm on the restored action qubit.
     return (
-        x(ACTION_QUBIT),
+        _FLIP_ACTION,
         ry(params.theta_left, REWARD_QUBIT, controls=[ACTION_QUBIT]),
-        x(ACTION_QUBIT),
+        _FLIP_ACTION,
         ry(params.theta_right, REWARD_QUBIT, controls=[ACTION_QUBIT]),
     )
 
@@ -102,12 +106,12 @@ def build_arm_circuit(arm: Arm, params: BanditParams) -> Circuit:
     """
     if arm is Arm.LEFT:
         gates = (
-            x(ACTION_QUBIT),
+            _FLIP_ACTION,
             ry(params.theta_left, REWARD_QUBIT, controls=[ACTION_QUBIT]),
-            x(ACTION_QUBIT),
+            _FLIP_ACTION,
         )
     else:
-        gates = (x(ACTION_QUBIT),) + _environment_gates(params)
+        gates = (_FLIP_ACTION,) + _environment_gates(params)
     return Circuit(2, gates)
 
 

@@ -303,7 +303,7 @@ def _trajectories(
         amps = np.zeros((2**n, len(chunk)), dtype=complex)
         amps[0] = 1.0  # every column starts in |0...0>
         for g, gate in enumerate(circ.gates):
-            _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls)
+            _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls, gate.moves)
             if g in strings:
                 _apply_paulis(amps, *strings[g])
         marg = _marginal(amps, n, qubits)

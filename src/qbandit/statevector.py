@@ -15,6 +15,18 @@ through one kernel, ``_apply_matrix``, which takes one state or a batch
 of states held as columns.  The marginal and the sampler take a batch
 too, one state and one uniform per column.
 
+A gate whose matrix is a permutation with unit phases (every nonzero
+entry exactly 1, -1, i or -i: X, SWAP, Z and their controlled forms,
+and any UNITARY payload of that shape) is recognised once, when the
+gate is built, and the kernel moves its amplitudes instead of
+multiplying them.  The bits stay the product's.  Each row of the
+product is one input times exactly 1, -1, i or -i plus terms 0 * a,
+which leave a nonzero part as it is.  The moved values get +0.0 added,
+so every zero is written as +0, as the product writes it on a block of
+one column or of four and more.  (OpenBLAS's product writes some zeros
+of 2- and 3-column blocks as -0; no probability depends on a zero's
+sign.)
+
 Every random stream is Philox (Salmon et al., SC'11) keyed by a seed.
 ``_PHILOX`` holds one bit generator per thread and re-keys it for each
 stream, which gives the words a new ``np.random.Philox`` with that key
@@ -129,8 +141,39 @@ def _derive_seeds(a: int, b: int, indices: np.ndarray) -> np.ndarray:
     return low | high << 32
 
 
+_UNIT_PHASES = (1, -1, 1j, -1j)
+
+
+def _moves(matrix: np.ndarray) -> tuple | None:
+    """``(order, phased)`` when the unitary ``matrix`` is a permutation
+    with unit phases, else None.  Row b of ``matrix @ v`` is then ``phase
+    * v[order[b]]``; ``order`` is None for the identity permutation, and
+    ``phased`` lists ``(b, phase)`` for each row whose phase is not 1."""
+    order, phased = [], []
+    for b, row in enumerate(matrix.tolist()):  # Python scalars: cheaper on a few entries
+        cols = [j for j, entry in enumerate(row) if entry]
+        phase = row[cols[0]] if len(cols) == 1 else 0
+        if phase not in _UNIT_PHASES:
+            return None
+        order.append(cols[0])
+        if phase != 1:
+            phased.append((b, phase))
+    return (None if order == sorted(order) else tuple(order)), tuple(phased)
+
+
 class SimulationError(ValueError):
     """Raised for invalid circuits, gates, or simulator inputs."""
+
+
+def _shown(value) -> str:
+    """``value`` as a refusal message gives it.  An integer too long for
+    ``str`` (Python refuses over 4,300 digits by default) is given by its
+    size in bits, so that the message still names its field."""
+    try:
+        return str(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {abs(int(value)).bit_length()} bits"
 
 
 def check_number(name: str, value, kind: type = numbers.Integral, low=None, high=None) -> None:
@@ -145,7 +188,7 @@ def check_number(name: str, value, kind: type = numbers.Integral, low=None, high
         raise ValueError(f"{name} must be finite, got {value}")
     if (low is not None and value < low) or (high is not None and value > high):
         bounds = f"in [{low}, {high}]" if high is not None else f">= {low}" if low else "non-negative"
-        raise ValueError(f"{name} must be {bounds}, got {value}")
+        raise ValueError(f"{name} must be {bounds}, got {_shown(value)}")
 
 
 def check_real(name: str, value, low=None, high=None) -> None:
@@ -164,7 +207,7 @@ def check_seed(name: str, value, key: bool = False) -> None:
     rather than hashed into one, must also be below 2**128."""
     check_number(name, value, low=0)
     if key and value >= 2**128:
-        raise ValueError(f"{name} must be below 2**128, got {value}")
+        raise ValueError(f"{name} must be below 2**128, got {_shown(value)}")
 
 
 class _Philox(threading.local):
@@ -210,8 +253,9 @@ class Gate:
     phase gates carry their angle in ``params``; UNITARY carries an
     explicit matrix on up to 3 target qubits.  ``matrix`` is the
     read-only dense matrix on the targets (controls not included),
-    resolved once at construction.  Two gates are equal when their kind,
-    qubits, params and matrix are.
+    resolved once at construction, and ``moves`` is its ``_moves``: None
+    unless the matrix is a permutation with unit phases.  Two gates are
+    equal when their kind, qubits, params and matrix are.
     """
 
     kind: str
@@ -220,6 +264,7 @@ class Gate:
     params: tuple[float, ...] = ()
     payload: np.ndarray | None = field(default=None, compare=False)
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    moves: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.targets) & set(self.controls):
@@ -255,6 +300,7 @@ class Gate:
             object.__setattr__(self, "payload", m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "moves", _moves(m))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
@@ -381,11 +427,17 @@ def new_state(num_qubits: int) -> StateVector:
 
 
 @functools.lru_cache(maxsize=4096)
-def _gate_rows(num_qubits: int, targets: tuple[int, ...], controls: tuple[int, ...]) -> np.ndarray:
+def _gate_rows(
+    num_qubits: int,
+    targets: tuple[int, ...],
+    controls: tuple[int, ...],
+    order: tuple[int, ...] | None = None,
+) -> np.ndarray:
     """Index table for a gate: rows[b] lists the basis indices whose target
-    bits spell b (targets[0] least significant) and whose control bits are
-    all 1.  Cached per (register, targets, controls) signature; the rows
-    are read-only, so every caller can share them."""
+    bits spell b (targets[0] least significant), or ``order[b]`` when an
+    order is given, and whose control bits are all 1.  Cached per
+    (register, targets, controls, order) signature; the rows are
+    read-only, so every caller can share them."""
     fixed = set(targets) | set(controls)
     free = [q for q in range(num_qubits) if q not in fixed]
     base = np.zeros(2 ** len(free), dtype=np.intp)
@@ -395,9 +447,8 @@ def _gate_rows(num_qubits: int, targets: tuple[int, ...], controls: tuple[int, .
     base += sum(1 << c for c in controls)
     k = len(targets)
     rows = np.empty((2**k, base.size), dtype=np.intp)
-    for b in range(2**k):
-        offset = sum(((b >> j) & 1) << t for j, t in enumerate(targets))
-        rows[b] = base + offset
+    for b, bits in enumerate(range(2**k) if order is None else order):
+        rows[b] = base + sum(((bits >> j) & 1) << t for j, t in enumerate(targets))
     rows.setflags(write=False)
     return rows
 
@@ -408,12 +459,26 @@ def _apply_matrix(
     matrix: np.ndarray,
     targets: tuple[int, ...],
     controls: tuple[int, ...],
+    moves: tuple | None = None,
 ) -> None:
     """The one amplitude update: ``matrix`` on ``targets`` wherever every
     control is 1, written in place into ``amps``, which is one state
-    ``(2**n,)`` or a batch ``(2**n, B)`` with one state per column."""
+    ``(2**n,)`` or a batch ``(2**n, B)`` with one state per column.
+
+    ``moves`` is the gate's ``Gate.moves``.  When it is given, the matrix
+    is a permutation with unit phases, and there is no product: one
+    gather of the rows in permuted order, a multiply of each row whose
+    phase is not 1, and one scatter.  Every nonzero part gets the
+    product's bits, and every zero +0 (see the module docstring)."""
     rows = _gate_rows(num_qubits, targets, controls)
-    if amps.ndim == 1:
+    if moves is not None:
+        order, phased = moves
+        block = amps[_gate_rows(num_qubits, targets, controls, order)]
+        for b, phase in phased:
+            block[b] *= phase
+        block += 0.0  # writes each zero as +0
+        amps[rows] = block
+    elif amps.ndim == 1:
         amps[rows] = matrix @ amps[rows]
     else:
         # One product for every column.  A single state skips these
@@ -435,7 +500,7 @@ def apply_circuit(state: StateVector, circ: Circuit) -> StateVector:
 def _apply_gates(amps: np.ndarray, circ: Circuit) -> np.ndarray:
     """Every gate of ``circ`` in order, in place on one state or a batch."""
     for gate in circ.gates:
-        _apply_matrix(amps, circ.num_qubits, gate.matrix, gate.targets, gate.controls)
+        _apply_matrix(amps, circ.num_qubits, gate.matrix, gate.targets, gate.controls, gate.moves)
     return amps
 
 
