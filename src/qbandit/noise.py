@@ -36,9 +36,9 @@ more decoding: its readout words follow its slots'.  The
 others are decoded in rounds (``_errors``): each round takes every such
 shot to its next erring gate, found by ``searchsorted`` among the
 block's hits, shifted by the words its Pauli draws have used, and makes
-that gate's draws for all of them.  A shot whose draws outrun its spare
-words is read again in a wider row.  The block is freed before the
-gates run.
+that gate's draws for all of them.  A block in which some shot's draws
+outrun its spare words is read again whole, with wider rows.  The block
+is freed before the gates run.
 
 ``tests/helpers.reference_trajectory`` is the gate-by-gate loop, drawing
 from numpy's ``Generator``, and the tests hold the two to the same
@@ -99,8 +99,8 @@ _CHUNK_AMPS = 2**20
 _BLOCK_WORDS = 2**16
 
 # Each shot's row has this many words past its slots and readout for
-# its Pauli draws; a shot whose draws need more is read again in a row
-# twice as wide.
+# its Pauli draws; a block in which some shot's draws need more is read
+# again whole, with this spare doubled.
 _SPARE = 8
 
 
@@ -148,11 +148,11 @@ class _Slots(NamedTuple):
         return cls(rate, gate, qubit, end, np.array(below, dtype=np.uint64))
 
 
-def _errors(words: np.ndarray, slots: _Slots, spare: int, used: np.ndarray) -> tuple:
+def _errors(words: np.ndarray, slots: _Slots, spare: int, used: np.ndarray) -> tuple | None:
     """The Pauli errors of each row's shot, decoded from the row's raw
     words, as ``(row, slot, pauli)`` arrays.  ``used[r]`` becomes the
-    number of words row r's Pauli draws used; a row that needs more than
-    ``spare`` is left as soon as it does, and its errors are void.
+    number of words row r's Pauli draws used.  None as soon as a row
+    needs more than ``spare``: the block must be read again wider.
 
     Each round takes every row still decoding to its next slot whose
     word is below the rate, past the words its Pauli draws have used
@@ -172,14 +172,12 @@ def _errors(words: np.ndarray, slots: _Slots, spare: int, used: np.ndarray) -> t
     found = []
     while live.size:
         shift = used[live]
-        low, top = shift.min(), shift.max()
-        if shifts <= top:
+        if shifts <= (top := shift.max()):
             new = [
                 (words[:, d : d + size] >> 11 < slots.below).ravel().nonzero()[0] + d * rows * size
                 for d in range(shifts, top + 1)
             ]
-            stale = np.searchsorted(hits, low * rows * size)
-            hits, shifts = np.concatenate([hits[stale:-1], *new, [last]]), top + 1
+            hits, shifts = np.concatenate([hits[:-1], *new, [last]]), top + 1
         base = (shift * rows + live) * size
         first = np.searchsorted(hits, base + pos[live])
         slot = hits[first] - base
@@ -189,7 +187,7 @@ def _errors(words: np.ndarray, slots: _Slots, spare: int, used: np.ndarray) -> t
         count = np.searchsorted(hits, base + end) - first  # the gate's errors
         pos[live] = end
         for j in range(count.max(initial=0)):
-            step = (count > j) & (used[live] <= spare)
+            step = count > j
             drawn, at = live[step], end[step]
             erred = hits[first[step] + j] - base[step]
             # integers(3) takes the next nonzero 32-bit half: a carried
@@ -199,13 +197,14 @@ def _errors(words: np.ndarray, slots: _Slots, spare: int, used: np.ndarray) -> t
             todo = np.flatnonzero(x == 0)
             while todo.size:
                 r = drawn[todo]
+                if used[r].max() >= spare:  # a fresh word would pass the spare
+                    return None
                 word = words[r, at[todo] + used[r]]
                 used[r] += 1
                 lo, hi = word & 0xFFFFFFFF, word >> 32
                 x[todo], half[r] = np.where(lo, lo, hi), np.where(lo, hi, 0)
-                todo = todo[(x[todo] == 0) & (used[r] <= spare)]
+                todo = todo[x[todo] == 0]
             found.append((drawn, erred, x * 3 >> 32))
-        live = live[used[live] <= spare]
     row, slot, pauli = (np.concatenate(v) for v in zip(*found))
     return row, slot, pauli
 
@@ -218,31 +217,26 @@ def _draws(read: Callable[[int, int], np.ndarray], shots: int, slots: _Slots, re
     The shots are decoded in blocks of at most ``_BLOCK_WORDS`` raw
     words, one row per shot: its slots' words, its readout words and
     ``spare`` words for its Pauli draws, which come before the readout.
-    The shots whose draws need more are read again in rows twice as
-    wide."""
+    A block in which some shot's draws need more is read again whole,
+    with the spare doubled (by at least one word)."""
     size = len(slots.rate)
-    width = size + reads + spare
-    step = max(1, _BLOCK_WORDS // width)
-    found, again, readout = [], [], np.empty((shots, reads))
-    for start in range(0, shots, step):
-        rows = min(step, shots - start)
+    found, readout, start = [], np.empty((shots, reads)), 0
+    while start < shots:
+        width = size + reads + spare
+        rows = min(max(1, _BLOCK_WORDS // width), shots - start)
         words = np.empty((rows, width), dtype=np.uint64)
         for r in range(rows):
             words[r] = read(start + r, width)
         used = np.zeros(rows, dtype=np.intp)
-        row, slot, pauli = _errors(words, slots, spare, used)
-        last = words[:, size : size + reads]
+        if (errors := _errors(words, slots, spare, used)) is None:
+            spare = max(2 * spare, spare + 1)
+            continue
+        row, slot, pauli = errors
         if row.size:
-            keep = used[row] <= spare
-            found.append((row[keep] + start, slot[keep], pauli[keep]))
-            again.append(np.flatnonzero(used > spare) + start)
-            at = size + np.minimum(used, spare)[:, None] + np.arange(reads)
-            last = words[np.arange(rows)[:, None], at]
-        readout[start : start + rows] = (last >> 11) * 2.0**-53
-    if again and (redo := np.concatenate(again)).size:
-        wider = width + spare
-        more, readout[redo] = _draws(lambda i, k: read(redo[i], k), len(redo), slots, reads, wider)
-        found += [(redo[shot], slot, pauli) for shot, slot, pauli in more]
+            found.append((row + start, slot, pauli))
+        at = size + used[:, None] + np.arange(reads)
+        readout[start : start + rows] = (np.take_along_axis(words, at, 1) >> 11) * 2.0**-53
+        start += rows
     return found, readout
 
 
@@ -251,18 +245,15 @@ def _pauli_strings(n: int, slots: _Slots, shots: int, found: list) -> dict:
     gate that has any, the shots' columns, flipped bits, negated bits
     and Y counts.  X flips its qubit, Z negates it and Y = iXZ does
     both; the qubits of one gate are distinct, so a sum of bits is
-    their OR."""
+    their OR, exact in any order."""
     shot, slot, pauli = (np.concatenate(v) for v in zip(*found))
-    key = slots.gate[slot] * shots + shot
-    order = np.argsort(key)
-    key, qubit, pauli = key[order], slots.qubit[slot[order]], pauli[order]
-    first = np.ones(len(key), dtype=bool)  # the first error of each string
-    first[1:] = key[1:] != key[:-1]
+    key, string = np.unique(slots.gate[slot] * shots + shot, return_inverse=True)
+    qubit = slots.qubit[slot]
     bits = (pauli < 2).astype(np.intp) << qubit | (pauli > 0).astype(np.intp) << (qubit + n)
-    code = np.bincount(np.cumsum(first) - 1, weights=bits).astype(np.intp)  # exact: 2n < 53 bits
+    code = np.bincount(string, weights=bits).astype(np.intp)  # exact: 2n < 53 bits
     flip, negate = code & (2**n - 1), code >> n
     ys = np.bitwise_count(flip & negate)
-    gate, col = np.divmod(key[first], shots)
+    gate, col = np.divmod(key, shots)
     cuts = [0, *(np.flatnonzero(gate[1:] != gate[:-1]) + 1).tolist(), len(gate)]
     return {
         int(gate[a]): (col[a:b], flip[a:b], negate[a:b], ys[a:b])

@@ -257,11 +257,7 @@ class NelderMead(_Minimizer):
                 continue
             if f_r < values[0]:
                 expanded = centroid + gamma * (reflected - centroid)
-                try:
-                    f_e = budget(expanded)
-                except _BudgetExhausted:
-                    points[-1], values[-1] = reflected, f_r
-                    raise
+                f_e = budget(expanded)
                 if f_e < f_r:
                     points[-1], values[-1] = expanded, f_e
                 else:

@@ -267,6 +267,9 @@ class Gate:
     moves: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for q in self.qubits:
+            if type(q) is not int and not isinstance(q, np.integer) or q < 0:  # refuses bools too
+                raise SimulationError(f"{self.kind} gate qubit must be a non-negative integer, got {q!r}")
         if set(self.targets) & set(self.controls):
             raise SimulationError(
                 f"targets {self.targets} and controls {self.controls} overlap"
@@ -295,7 +298,7 @@ class Gate:
             )
         if self.kind == "UNITARY":
             err = np.abs(m.conj().T @ m - np.eye(dim)).max()
-            if err > 1e-12:
+            if not err <= 1e-12:  # NaN too
                 raise SimulationError(f"matrix is not unitary (deviation {err:.2e})")
             object.__setattr__(self, "payload", m)
         m.setflags(write=False)
@@ -365,8 +368,10 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        for gate in self.gates:
-            if any(q < 0 or q >= self.num_qubits for q in gate.qubits):
+        # Gates check their own qubits are non-negative; a circuit repeats
+        # gate objects, so each distinct one is checked once.
+        for gate in {id(g): g for g in self.gates}.values():
+            if (qubits := gate.qubits) and max(qubits) >= self.num_qubits:
                 raise SimulationError(
                     f"gate {gate.kind} on qubits {gate.qubits} exceeds "
                     f"register width {self.num_qubits}"

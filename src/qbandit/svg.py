@@ -45,6 +45,19 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return [10.0**e for e in range(lo_exp, hi_exp + 1)]
 
 
+def _axis_ticks(lo: float, hi: float, log: bool) -> list[float]:
+    """The ticks of one axis that fall within [lo, hi]."""
+    ticks = _log_ticks(lo, hi) if log else _ticks(lo, hi)
+    return [t for t in ticks if lo <= t <= hi]
+
+
+def _frac(v: float, lo: float, hi: float, log: bool) -> float:
+    """Where v lies from lo (0) to hi (1), log-scaled if ``log``; 0.5 if hi <= lo."""
+    if log:
+        v, lo, hi = math.log10(v), math.log10(lo), math.log10(hi)
+    return (v - lo) / (hi - lo) if hi > lo else 0.5
+
+
 @dataclass
 class _Axes:
     """Maps data coordinates onto the panel's plot area and draws the frame."""
@@ -57,18 +70,10 @@ class _Axes:
     log_y: bool = False
 
     def x_px(self, x: float) -> float:
-        lo, hi = self.x_lo, self.x_hi
-        if self.log_x:
-            x, lo, hi = math.log10(x), math.log10(lo), math.log10(hi)
-        frac = (x - lo) / (hi - lo) if hi > lo else 0.5
-        return _LEFT + frac * (WIDTH - _LEFT - _RIGHT)
+        return _LEFT + _frac(x, self.x_lo, self.x_hi, self.log_x) * (WIDTH - _LEFT - _RIGHT)
 
     def y_px(self, y: float) -> float:
-        lo, hi = self.y_lo, self.y_hi
-        if self.log_y:
-            y, lo, hi = math.log10(y), math.log10(lo), math.log10(hi)
-        frac = (y - lo) / (hi - lo) if hi > lo else 0.5
-        return HEIGHT - _BOTTOM - frac * (HEIGHT - _TOP - _BOTTOM)
+        return HEIGHT - _BOTTOM - _frac(y, self.y_lo, self.y_hi, self.log_y) * (HEIGHT - _TOP - _BOTTOM)
 
     def frame(self, title: str, xlabel: str, ylabel: str) -> list[str]:
         x0, y0 = _LEFT, HEIGHT - _BOTTOM
@@ -81,23 +86,13 @@ class _Axes:
             f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 6}" text-anchor="middle" {_FONT} font-size="11">{xlabel}</text>',
             f'<text x="14" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" {_FONT} font-size="11" transform="rotate(-90 14 {(y0 + y1) / 2:.1f})">{ylabel}</text>',
         ]
-        xticks = (
-            _log_ticks(self.x_lo, self.x_hi) if self.log_x else _ticks(self.x_lo, self.x_hi)
-        )
-        for t in xticks:
-            if not self.x_lo <= t <= self.x_hi:
-                continue
+        for t in _axis_ticks(self.x_lo, self.x_hi, self.log_x):
             px = self.x_px(t)
             parts.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 4}" stroke="black"/>')
             parts.append(
                 f'<text x="{px:.1f}" y="{y0 + 16}" text-anchor="middle" {_FONT} font-size="10">{t:g}</text>'
             )
-        yticks = (
-            _log_ticks(self.y_lo, self.y_hi) if self.log_y else _ticks(self.y_lo, self.y_hi)
-        )
-        for t in yticks:
-            if not self.y_lo <= t <= self.y_hi:
-                continue
+        for t in _axis_ticks(self.y_lo, self.y_hi, self.log_y):
             py = self.y_px(t)
             parts.append(f'<line x1="{x0 - 4}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>')
             parts.append(
