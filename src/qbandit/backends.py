@@ -30,6 +30,7 @@ from .noise import NoiseConfig, noisy_counts
 from .statevector import (
     Circuit,
     MeasurementCounts,
+    check_number,
     exact_distribution,
     sample_counts,
 )
@@ -87,6 +88,7 @@ class ExactOracleBackend(IdealBackend):
         seed: int,
         qubits: Iterable[int] | None = None,
     ) -> MeasurementCounts:
+        check_number("shots", shots, low=1)
         probs = self.exact_probabilities(circ, qubits)
         return MeasurementCounts(apportion(probs, shots), shots)
 

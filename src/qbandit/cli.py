@@ -2,10 +2,12 @@
 
 Configuration is a single JSON document with sections (backend, noise,
 train, qpe, policy, env); command-line flags override config fields,
-which override built-in defaults.  Every run writes its
-artifacts plus a manifest.json (seed, versions, config hash) that
-suffices to re-run bit-identically on the ideal backend.  SVG plots are
-rendered from the already-written CSV data, never the other way round.
+which override built-in defaults; a config flag's ``dest`` is the path
+of the field it sets.  Every run writes its artifacts plus a
+manifest.json; a train or qpe manifest's config, the one that ran
+(``qpe``'s angles in ``env``), re-runs it bit-identically when passed
+back as ``--config``.  SVG plots are rendered from the already-written
+CSV data, never the other way round.
 """
 
 from __future__ import annotations
@@ -89,6 +91,18 @@ def load_config(path: str | None) -> dict:
     return _merge(defaults, user)
 
 
+def _configure(args: argparse.Namespace) -> dict:
+    """The config ``args.config`` loads, with each flag given written over
+    the field its dest names: ``section.field``, or a top-level field."""
+    cfg = load_config(args.config)
+    for dest, value in vars(args).items():
+        section, _, field = dest.rpartition(".")
+        target = cfg[section] if section else cfg
+        if value is not None and field in target:
+            target[field] = value
+    return cfg
+
+
 def _require(condition: bool, field: str, message: str) -> None:
     if not condition:
         raise ConfigError(f"{field}: {message}")
@@ -136,9 +150,10 @@ def _config_hash(cfg: dict) -> str:
 
 
 def write_manifest(
-    out_dir: Path, command: str, cfg: dict, seed: int, outputs: list[str]
+    out_dir: Path, command: str, cfg: dict, seed: int, outputs: list[str], **extra
 ) -> Path:
     manifest = {
+        **extra,
         "command": command,
         "config": cfg,
         "config_hash": _config_hash(cfg),
@@ -197,14 +212,7 @@ def _write_training(result: TrainingResult, out_dir: Path) -> list[str]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.backend:
-        cfg["backend"] = args.backend
-    if args.shots is not None:
-        cfg["train"]["shots_per_eval"] = args.shots
-    if args.seed is not None:
-        cfg["train"]["seed"] = args.seed
-
+    cfg = _configure(args)
     train_cfg = _section(TrainConfig, cfg, "train")
     backend = get_backend(cfg["backend"], _section(NoiseConfig, cfg, "noise"))
     dataset = load_dataset(args.data)
@@ -214,7 +222,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = optimize(dataset, train_cfg, backend)
 
     outputs = _write_training(result, out_dir)
-    write_manifest(out_dir, "train", cfg, train_cfg.seed, outputs)
+    data = {"path": args.data, "sha256": hashlib.sha256(Path(args.data).read_bytes()).hexdigest()}
+    write_manifest(out_dir, "train", cfg, train_cfg.seed, outputs, data=data)
     print(
         f"train: final theta = ({result.final_theta[0]:.4f}, {result.final_theta[1]:.4f}), "
         f"loss = {result.final_loss:.3e}, evaluations = {result.iterations}"
@@ -327,37 +336,20 @@ def _qpe_grid(
         outputs.append(csv_path.name)
         panels.setdefault((backend_name, n), []).append((f"p_left={p_left:g}", hist))
 
-    if panels:
-        grid = [
-            [
-                _histogram_panel(
-                    panels[(b, n)], title=f"{b}, n={n}", shots=shots
-                )
-                for n in n_values
-                if (b, n) in panels
-            ]
-            for b in backends
-            if any((b, n) in panels for n in n_values)
-        ]
+    rows = (
+        [_histogram_panel(panels[b, n], f"{b}, n={n}", shots) for n in n_values if (b, n) in panels]
+        for b in backends
+    )
+    if grid := [row for row in rows if row]:
         (out_dir / "histograms.svg").write_text(panel_grid(grid))
         outputs.append("histograms.svg")
     return outputs, failures
 
 
 def cmd_qpe(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.backend:
-        cfg["backend"] = args.backend
-    if args.n is not None:
-        cfg["qpe"]["n"] = args.n
-    if args.shots is not None:
-        cfg["qpe"]["shots"] = args.shots
-    if args.seed is not None:
-        cfg["qpe"]["seed"] = args.seed
-    if args.policy_left is not None:
-        cfg["policy"]["p_left"] = args.policy_left
-
+    cfg = _configure(args)
     params = _resolve_qpe_env(args, cfg)
+    cfg["env"] = asdict(params)
     noise = _section(NoiseConfig, cfg, "noise")
     base_seed = _number(cfg["qpe"]["seed"], "qpe.seed", numbers.Integral, low=0)
     shots = _number(cfg["qpe"]["shots"], "qpe.shots", numbers.Integral, low=1)
@@ -556,21 +548,21 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="fit environment angles to a dataset")
     train.add_argument("--data", required=True, help="JSONL transition dataset")
     train.add_argument("--config", help="experiment config JSON")
-    train.add_argument("--shots", type=int, help="shots per arm per evaluation")
-    train.add_argument("--seed", type=int)
+    train.add_argument("--shots", type=int, dest="train.shots_per_eval", metavar="SHOTS", help="shots per arm per evaluation")
+    train.add_argument("--seed", type=int, dest="train.seed", metavar="SEED")
     train.add_argument("--backend", choices=list(BACKENDS))
     train.add_argument("--out", required=True, help="output directory")
     train.set_defaults(func=cmd_train)
 
     qpe = sub.add_parser("qpe", help="estimate a policy value by phase estimation")
-    qpe.add_argument("--n", type=int, help="evaluation-register width")
-    qpe.add_argument("--shots", type=int)
-    qpe.add_argument("--policy-left", type=float, dest="policy_left")
+    qpe.add_argument("--n", type=int, dest="qpe.n", metavar="N", help="evaluation-register width")
+    qpe.add_argument("--shots", type=int, dest="qpe.shots", metavar="SHOTS")
+    qpe.add_argument("--policy-left", type=float, dest="policy.p_left", metavar="POLICY_LEFT")
     qpe.add_argument("--theta-left", type=float, dest="theta_left")
     qpe.add_argument("--theta-right", type=float, dest="theta_right")
     qpe.add_argument("--from", dest="from_dir", help="training output directory")
     qpe.add_argument("--backend", choices=list(BACKENDS))
-    qpe.add_argument("--seed", type=int)
+    qpe.add_argument("--seed", type=int, dest="qpe.seed", metavar="SEED")
     qpe.add_argument("--config", help="experiment config JSON")
     qpe.add_argument("--out", required=True)
     qpe.set_defaults(func=cmd_qpe)

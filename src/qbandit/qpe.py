@@ -199,7 +199,7 @@ class QpeConfig:
     def __post_init__(self):
         check_number("n", self.n, low=1, high=MAX_EVAL_QUBITS)
         check_number("shots", self.shots, low=1)
-        check_seed("seed", self.seed)
+        check_seed("seed", self.seed, key=True)
         check_backend(self.backend, self.noise)
 
 

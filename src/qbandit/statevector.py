@@ -360,6 +360,13 @@ def unitary(matrix: np.ndarray, targets: Iterable[int], *, controls: Iterable[in
     return Gate("UNITARY", tuple(targets), tuple(controls), payload=matrix)
 
 
+def _check_width(n) -> None:
+    """Refuse a register width that is not an integer in [1, MAX_QUBITS];
+    numpy integers are accepted, bools are not."""
+    if type(n) is not int and not isinstance(n, np.integer) or not 1 <= n <= MAX_QUBITS:
+        raise SimulationError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n}")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list on a fixed-width qubit register."""
@@ -368,6 +375,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        _check_width(self.num_qubits)
         # Gates check their own qubits are non-negative; a circuit repeats
         # gate objects, so each distinct one is checked once.
         for gate in {id(g): g for g in self.gates}.values():
@@ -422,10 +430,7 @@ class StateVector:
 
 def new_state(num_qubits: int) -> StateVector:
     """The all-zeros state |0...0> on ``num_qubits`` qubits."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise SimulationError(
-            f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
-        )
+    _check_width(num_qubits)
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
