@@ -38,9 +38,6 @@ class BanditParams:
         check_real("theta_left", self.theta_left)
         check_real("theta_right", self.theta_right)
 
-    def theta(self, arm: Arm) -> float:
-        return self.theta_left if arm is Arm.LEFT else self.theta_right
-
 
 @dataclass(frozen=True)
 class PolicySpec:

@@ -4,10 +4,11 @@ Configuration is a single JSON document with sections (backend, noise,
 train, qpe, policy, env); command-line flags override config fields,
 which override built-in defaults; a config flag's ``dest`` is the path
 of the field it sets.  Every run writes its artifacts plus a
-manifest.json; a train or qpe manifest's config, the one that ran
-(``qpe``'s angles in ``env``), re-runs it bit-identically when passed
-back as ``--config``.  SVG plots are rendered from the already-written
-CSV data, never the other way round.
+manifest.json listing exactly the files it wrote, so a rerun into the
+same directory writes the same manifest; a train or qpe manifest's
+config, the one that ran (``qpe``'s angles in ``env``), re-runs it
+bit-identically when passed back as ``--config``.  SVG plots are
+rendered from the already-written CSV data, never the other way round.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .training import (
     optimize,
     synthesize_dataset,
     write_dataset,
-    write_result_json,
 )
 
 
@@ -139,8 +139,10 @@ def _make_dir(path: Path) -> None:
         raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from exc
 
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
+def _as_list(value, field: str) -> list:
+    values = list(value) if isinstance(value, (list, tuple)) else [value]
+    _require(bool(values), field, "expected a value or a non-empty list, got []")
+    return values
 
 
 def _config_hash(cfg: dict) -> str:
@@ -185,10 +187,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list | tuple]) -> None:
 
 
 def _write_training(result: TrainingResult, out_dir: Path) -> list[str]:
-    """Write a training run's trace, result and plots; returns their names."""
+    """Write a training run's trace, result and plots; returns their names.
+    ``result.json`` is the file ``qpe --from`` reads its angles from."""
     header = ["iteration", "theta_left", "theta_right", "loss"]
     _write_csv(out_dir / "trace.csv", header, [astuple(e) for e in result.trace])
-    write_result_json(result, out_dir / "result.json")
+    summary = {
+        "final_theta": result.final_theta,
+        "final_loss": result.final_loss,
+        "iterations": result.iterations,
+    }
+    (out_dir / "result.json").write_text(json.dumps(summary, indent=2) + "\n")
     iters = [(e.iteration, e.loss) for e in result.trace]
     curve = line_chart(
         [("loss", iters)],
@@ -354,10 +362,18 @@ def cmd_qpe(args: argparse.Namespace) -> int:
     base_seed = _number(cfg["qpe"]["seed"], "qpe.seed", numbers.Integral, low=0)
     shots = _number(cfg["qpe"]["shots"], "qpe.shots", numbers.Integral, low=1)
     policies = [
-        float(_number(p, "policy.p_left", numbers.Real)) for p in _as_list(cfg["policy"]["p_left"])
+        float(_number(p, "policy.p_left", numbers.Real, 0, 1))
+        for p in _as_list(cfg["policy"]["p_left"], "policy.p_left")
     ]
-    n_values = [_number(n, "qpe.n", numbers.Integral) for n in _as_list(cfg["qpe"]["n"])]
-    backends = [str(b) for b in _as_list(cfg["backend"])]
+    n_values = [_number(n, "qpe.n", numbers.Integral) for n in _as_list(cfg["qpe"]["n"], "qpe.n")]
+    backends = [str(b) for b in _as_list(cfg["backend"], "backend")]
+    kinds: dict[str, str] = {}
+    for name in backends:
+        try:
+            first = kinds.setdefault(get_backend(name, noise).name, name)
+        except ValueError as exc:
+            raise ConfigError(f"backend: {exc}") from exc
+        _require(first == name, "backend", f"{first!r} and {name!r} name one backend; give one of them")
 
     out_dir = Path(args.out)
     outputs, failures = _qpe_grid(
@@ -458,7 +474,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 # reproduce
 
 
-def _reproduce_training(out_dir: Path) -> None:
+def _reproduce_training(out_dir: Path) -> list[str]:
+    """Run the two canned trainings; returns the files written, relative to ``out_dir``."""
+    outputs = ["angles.csv"]
     runs = [
         ("win70-20", 0.7, 0.2, 101, 11),
         ("win0-50", 0.0, 0.5, 102, 12),
@@ -471,7 +489,8 @@ def _reproduce_training(out_dir: Path) -> None:
         write_dataset(dataset, run_dir / "dataset.jsonl")
         train_cfg = TrainConfig(**{**DEFAULT_CONFIG["train"], "seed": train_seed})
         result = optimize(dataset, train_cfg, get_backend("ideal"))
-        _write_training(result, run_dir)
+        written = ["dataset.jsonl", *_write_training(result, run_dir)]
+        outputs.extend(f"{label}/{name}" for name in written)
         summary.append(
             [
                 label,
@@ -486,6 +505,7 @@ def _reproduce_training(out_dir: Path) -> None:
         ["run", "theta_left_final", "theta_right_final", "theta_left_closed_form", "theta_right_closed_form"],
         summary,
     )
+    return outputs
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -500,7 +520,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     _make_dir(out_dir)
 
     if args.figure == "training-curves":
-        _reproduce_training(out_dir)
+        outputs = _reproduce_training(out_dir)
         cfg = {"figure": args.figure, "train": DEFAULT_CONFIG["train"]}
         seed = 0
     elif args.figure == "qpe-histograms":
@@ -517,7 +537,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             angle_from_frequency(cfg["env"]["win_left"]),
             angle_from_frequency(cfg["env"]["win_right"]),
         )
-        _, failures = _qpe_grid(
+        outputs, failures = _qpe_grid(
             out_dir, params, NoiseConfig(), cfg["backends"], cfg["n"],
             cfg["policies"], cfg["shots"], seed,
         )
@@ -527,9 +547,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         ns = argparse.Namespace(v=0.45, n_range="3..8", seed=7, out=str(out_dir))
         return cmd_baseline(ns)
 
-    outputs = sorted(
-        str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file()
-    )
     write_manifest(out_dir, f"reproduce {args.figure}", cfg, seed, outputs)
     print(f"reproduce: wrote {args.figure} artifacts to {out_dir}")
     return 0

@@ -424,9 +424,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
 
 def new_state(num_qubits: int) -> StateVector:
     """The all-zeros state |0...0> on ``num_qubits`` qubits."""

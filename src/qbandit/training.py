@@ -115,13 +115,6 @@ class TrainingResult:
     def iterations(self) -> int:
         return len(self.trace)
 
-    def to_dict(self) -> dict:
-        return {
-            "final_theta": list(self.final_theta),
-            "final_loss": self.final_loss,
-            "iterations": self.iterations,
-        }
-
 
 def load_dataset(path: str | Path) -> TransitionDataset:
     """Parse a JSON Lines file of {"action": "left"|"right", "reward": 0|1}.
@@ -269,9 +262,3 @@ def optimize(
         final_theta=(float(final_theta[0]), float(final_theta[1])),
         final_loss=final_loss,
     )
-
-
-def write_result_json(result: TrainingResult, path: str | Path) -> None:
-    with Path(path).open("w") as handle:
-        json.dump(result.to_dict(), handle, indent=2)
-        handle.write("\n")
