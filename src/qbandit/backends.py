@@ -11,9 +11,9 @@ All three expose the same surface:
 would.  The other two subclass it and override two methods each.  The
 exact oracle never samples: ``counts`` apportions the exact distribution
 to ``shots`` by largest remainder and ``frequency`` is the exact Born
-probability; it exists for tests and shot-free baselines.  The noisy
-backend's ``counts`` runs Pauli trajectories, and it has no
-``exact_probabilities``.
+probability, yet both refuse the shots and seeds the sampler refuses;
+it exists for tests and shot-free baselines.  The noisy backend's
+``counts`` runs Pauli trajectories, and it has no ``exact_probabilities``.
 
 The ideal and oracle backends read a circuit's state from
 ``Circuit.final_state``, so each circuit object is simulated once.  Its
@@ -31,6 +31,7 @@ from .statevector import (
     Circuit,
     MeasurementCounts,
     check_number,
+    check_seed,
     exact_distribution,
     sample_counts,
 )
@@ -89,10 +90,13 @@ class ExactOracleBackend(IdealBackend):
         qubits: Iterable[int] | None = None,
     ) -> MeasurementCounts:
         check_number("shots", shots, low=1)
+        check_seed("seed", seed, key=True)
         probs = self.exact_probabilities(circ, qubits)
         return MeasurementCounts(apportion(probs, shots), shots)
 
     def frequency(self, circ: Circuit, qubit: int, shots: int, seed: int) -> float:
+        check_number("shots", shots, low=1)
+        check_seed("seed", seed, key=True)
         return self.exact_probabilities(circ, qubits=(qubit,)).get("1", 0.0)
 
 

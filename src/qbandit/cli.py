@@ -3,12 +3,13 @@
 Configuration is a single JSON document with sections (backend, noise,
 train, qpe, policy, env); command-line flags override config fields,
 which override built-in defaults; a config flag's ``dest`` is the path
-of the field it sets.  Every run writes its artifacts plus a
-manifest.json listing exactly the files it wrote, so a rerun into the
-same directory writes the same manifest; a train or qpe manifest's
-config, the one that ran (``qpe``'s angles in ``env``), re-runs it
-bit-identically when passed back as ``--config``.  SVG plots are
-rendered from the already-written CSV data, never the other way round.
+of the field it sets; ``qpe``'s ``--theta-*`` flags write over their
+``env`` fields, or ``--from`` alone gives both angles.  Every run writes its
+artifacts plus a manifest.json listing exactly the files it wrote, so a
+rerun into the same directory writes the same manifest; a train or qpe
+manifest's config, the one that ran (``qpe``'s angles in ``env``),
+re-runs it bit-identically when passed back as ``--config``.  SVG plots
+are rendered from the already-written CSV data, never the other way round.
 """
 
 from __future__ import annotations
@@ -75,17 +76,22 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return merged
 
 
+def _read_json(file: Path, name: str):
+    """The JSON value in ``file``, or a ConfigError naming ``name`` and the file."""
+    if not file.is_file():
+        raise ConfigError(f"{name} file not found: {file}")
+    try:
+        return json.loads(file.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name} {file} is not valid JSON: {exc.msg}") from exc
+
+
 def load_config(path: str | None) -> dict:
     defaults = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is None:
         return defaults
     file = Path(path)
-    if not file.is_file():
-        raise ConfigError(f"config file not found: {file}")
-    try:
-        user = json.loads(file.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {file} is not valid JSON: {exc.msg}") from exc
+    user = _read_json(file, "config")
     if not isinstance(user, dict):
         raise ConfigError(f"config {file} must hold a JSON object")
     return _merge(defaults, user)
@@ -266,41 +272,27 @@ def _histogram_panel(
 
 
 def _resolve_qpe_env(args: argparse.Namespace, cfg: dict) -> BanditParams:
-    flags = args.theta_left is not None or args.theta_right is not None
-    if flags and args.from_dir:
-        raise ConfigError("env: give either --theta-left/--theta-right or --from, not both")
-    if flags:
-        _require(
-            args.theta_left is not None and args.theta_right is not None,
-            "env",
-            "--theta-left and --theta-right must be given together",
-        )
-        return BanditParams(args.theta_left, args.theta_right)
+    """``--from``'s ``final_theta``, or the config's ``env`` with each ``--theta-*``
+    flag given written over its field; checked once, named by their source."""
+    angles = ("theta_left", "theta_right")
+    flags = {name: getattr(args, name) for name in angles if getattr(args, name) is not None}
     if args.from_dir:
+        _require(not flags, "env", "give either --theta-left/--theta-right or --from, not both")
         result_file = Path(args.from_dir) / "result.json"
-        if not result_file.is_file():
-            raise ConfigError(f"env: no training result at {result_file}")
-        try:
-            payload = json.loads(result_file.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"env: {result_file} is not valid JSON: {exc.msg}") from exc
+        payload = _read_json(result_file, "training result")
         theta = payload.get("final_theta") if isinstance(payload, dict) else None
-        field = f"final_theta in {result_file}"
+        source = f"final_theta in {result_file}"
+        _require(isinstance(theta, list) and len(theta) == 2, source, f"expected two angles, got {theta!r}")
+        env, fields = dict(zip(angles, theta)), [source] * 2
+    else:
+        env = {**cfg["env"], **flags} if isinstance(cfg["env"], dict) else flags or cfg["env"]
+        fields = [f"env.{name}" for name in angles]
         _require(
-            isinstance(theta, list) and len(theta) == 2, field, f"expected two angles, got {theta!r}"
+            isinstance(env, dict) and set(env) == set(angles),
+            "env",
+            f"provide {{'theta_left': ..., 'theta_right': ...}} by config, --theta-* flags or --from, not {env!r}",
         )
-        return BanditParams(*(float(_number(t, field, numbers.Real)) for t in theta))
-    env = cfg["env"]
-    _require(
-        isinstance(env, dict) and set(env) == {"theta_left", "theta_right"},
-        "env",
-        "provide --theta-left/--theta-right, --from, or an env config section"
-        f" {{'theta_left': ..., 'theta_right': ...}}, not {env!r}",
-    )
-    return BanditParams(
-        float(_number(env["theta_left"], "env.theta_left", numbers.Real)),
-        float(_number(env["theta_right"], "env.theta_right", numbers.Real)),
-    )
+    return BanditParams(*(float(_number(env[name], field, numbers.Real)) for name, field in zip(angles, fields)))
 
 
 def _qpe_grid(
@@ -390,7 +382,7 @@ def cmd_qpe(args: argparse.Namespace) -> int:
 # baseline
 
 
-def _parse_n_range(text: str, smallest: int) -> list[int]:
+def _parse_n_range(text: str, smallest: int) -> range:
     try:
         lo, hi = text.split("..")
         lo_i, hi_i = int(lo), int(hi)
@@ -401,7 +393,7 @@ def _parse_n_range(text: str, smallest: int) -> list[int]:
         "n-range",
         f"need {smallest} <= a <= b, got {text!r}; below n={smallest} the error bound is 1 or more",
     )
-    return list(range(lo_i, hi_i + 1))
+    return range(lo_i, hi_i + 1)
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
@@ -411,16 +403,16 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     n_values = _parse_n_range(args.n_range, smallest)
     seed = _number(args.seed, "seed", numbers.Integral, low=0)
     confidence = 8.0 / math.pi**2
-
-    out_dir = Path(args.out)
-    _make_dir(out_dir)
-
     table_rows = []
     for n in n_values:
         eps = error_bound(n, v)
-        table_rows.append(
-            [n, eps, qpe_qsample_count(n), mc_samples_needed(eps, 1.0 - confidence)]
-        )
+        try:
+            table_rows.append([n, eps, qpe_qsample_count(n), mc_samples_needed(eps, 1.0 - confidence)])
+        except ValueError as exc:
+            raise ConfigError(f"n-range: {args.n_range!r} reaches n={n}, where {exc}") from exc
+
+    out_dir = Path(args.out)
+    _make_dir(out_dir)
     _write_csv(
         out_dir / "scaling.csv",
         ["n", "error_bound", "qpe_qsamples", "mc_samples"],
@@ -462,7 +454,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     )
     (out_dir / "scaling.svg").write_text(panel_grid([[scaling_plot, rmse_plot]]))
 
-    cfg = {"v": v, "n_values": n_values, "seed": seed, "confidence": confidence}
+    cfg = {"v": v, "n_values": list(n_values), "seed": seed, "confidence": confidence}
     write_manifest(
         out_dir, "baseline", cfg, seed, ["scaling.csv", "mc_rmse.csv", "scaling.svg"]
     )

@@ -174,11 +174,11 @@ def value_grid(n: int) -> list[float]:
 
 def error_bound(n: int, a: float) -> float:
     """Estimation-error radius that holds with probability >= 8/pi^2:
-    2*pi*sqrt(a(1-a))/2^n + pi^2/2^(2n)."""
+    2*pi*sqrt(a(1-a))*s + pi^2*s^2, s = 2^-n as an exact float (no overflow)."""
     check_number("n", n, low=1)
     check_real("a", a, 0, 1)
-    m = 2**n
-    return 2.0 * math.pi * math.sqrt(a * (1.0 - a)) / m + math.pi**2 / m**2
+    scale = math.ldexp(1.0, -n)
+    return 2.0 * math.pi * math.sqrt(a * (1.0 - a)) * scale + math.pi**2 * scale**2
 
 
 def qsample_count(n: int) -> int:
