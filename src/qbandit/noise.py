@@ -66,6 +66,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .statevector import (
+    _BLOCK_WORDS,
     _PHILOX,
     Circuit,
     MeasurementCounts,
@@ -93,10 +94,6 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 # A chunk of shots holds at most this many amplitudes (16 MB of
 # complex128), so memory does not grow with shots or register width.
 _CHUNK_AMPS = 2**20
-
-# A block of raw words holds at most this many (512 KB of uint64), or
-# one shot's row if that is longer, so memory does not grow with shots.
-_BLOCK_WORDS = 2**16
 
 # Each shot's row has this many words past its slots and readout for
 # its Pauli draws; a block in which some shot's draws need more is read

@@ -30,7 +30,9 @@ sign.)
 Every random stream is Philox (Salmon et al., SC'11) keyed by a seed.
 ``_PHILOX`` holds one bit generator per thread and re-keys it for each
 stream, which gives the words a new ``np.random.Philox`` with that key
-would give without building one.
+would give without building one.  The sampler reads its uniforms in
+blocks of at most ``_BLOCK_WORDS`` and counts each block at the CDF's
+edges, so its memory is O(block + outcomes), not O(shots).
 
 All operations are pure: they take a state in and return a new one.
 A circuit object simulates itself from |0...0> at most once, on first
@@ -243,6 +245,12 @@ class _Philox(threading.local):
 
 
 _PHILOX = _Philox()
+
+# A block of raw words holds at most this many (512 KB of uint64), so a
+# sampler's memory does not grow with shots.  The ideal sampler reads its
+# uniforms in blocks of this size; the noisy decode puts as many shots'
+# rows in one block as fit, or one row if that is longer.
+_BLOCK_WORDS = 2**16
 
 
 @dataclass(frozen=True)
@@ -639,7 +647,8 @@ def sample_counts(
     Shot i is a pure function of (seed, i): the i-th uniform of the
     Philox stream keyed by ``seed`` selects the outcome whose CDF step it
     falls in, so results do not depend on evaluation order.  The shots
-    are counted at the CDF's edges (``_tally``) rather than one by one;
+    are counted at the CDF's edges (``_tally``) rather than one by one,
+    in blocks of at most ``_BLOCK_WORDS`` uniforms whose counts add up;
     the counts are those of the per-shot inverse CDF.  Outcomes appear in
     increasing index order, those with no shot left out.
     """
@@ -648,7 +657,13 @@ def sample_counts(
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
     marg = _marginal(state.amps, state.num_qubits, qubits)
-    tally = _tally(marg, _PHILOX.uniforms(seed, shots))
+    read = _PHILOX.raw(seed)
+    # Each block's words continue the one stream where the last block's
+    # ended, decoded to uniforms as ``_PHILOX.uniforms`` decodes them.
+    tally = sum(
+        _tally(marg, (read(min(_BLOCK_WORDS, shots - start)) >> 11) * 2.0**-53)
+        for start in range(0, shots, _BLOCK_WORDS)
+    )
     counts = {_bitstring(m, marg): int(tally[m]) for m in np.flatnonzero(tally)}
     return MeasurementCounts(counts, shots)
 

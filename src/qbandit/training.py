@@ -5,6 +5,15 @@ frequencies from the data once, then repeatedly (run both arm circuits
 for M shots, read off measured frequencies, score the mean squared
 error against the data, let a derivative-free optimizer update the
 angles) until the evaluation budget is spent.
+
+A dataset holds one pointer per record.  A record can only be one of
+four ``(Arm, 0|1)`` pairs, so every dataset, however it was built,
+points at the module's four shared pairs instead of owning a tuple per
+pull: 20,000 records keep 160 KB, not about 1.2 MB.  Its file lines are
+rendered and parsed once per distinct line.  Each ``TraceEntry`` is
+slotted, with no per-entry ``__dict__``, and the entries of one trace
+share one float per distinct angle, so a 100-evaluation result keeps
+about 12 KB.
 """
 
 from __future__ import annotations
@@ -28,18 +37,49 @@ class DatasetError(ValueError):
     """Raised for unreadable or malformed transition data."""
 
 
+# _PAIRS[arm][reward] is the one (arm, reward) record every dataset
+# shares; _SHARED finds a shared pair by its id.
+_PAIRS = {arm: ((arm, 0), (arm, 1)) for arm in Arm}
+_SHARED = {id(pair): pair for pairs in _PAIRS.values() for pair in pairs}
+
+
+def _shared_pair(index: int, record) -> tuple[Arm, int]:
+    """The shared pair equal to ``record``, which must be an ``(Arm, 0 or
+    1)`` pair with an integer reward: numpy integers pass, but bools and
+    floats are refused, as ``load_dataset`` refuses them."""
+    match record:
+        case (Arm() as arm, reward) if (
+            type(reward) is int or isinstance(reward, np.integer)
+        ) and reward in (0, 1):
+            return _PAIRS[arm][int(reward)]
+    raise DatasetError(f"record {index} must be an (Arm, 0 or 1) pair, got {record!r}")
+
+
 @dataclass(frozen=True)
 class TransitionDataset:
-    """Batch of (action, reward) records with per-arm tallies."""
+    """Batch of (action, reward) records with per-arm tallies.
+
+    The records, given as any sequence, are checked and mapped onto the
+    shared pairs at construction and kept as a tuple, so a dataset keeps
+    one pointer per record."""
 
     records: tuple[tuple[Arm, int], ...]
+
+    def __post_init__(self):
+        shared = _SHARED.get
+        records = tuple(
+            shared(id(record)) or _shared_pair(index, record)
+            for index, record in enumerate(self.records)
+        )
+        object.__setattr__(self, "records", records)
 
     @functools.cached_property
     def _tallies(self) -> tuple[dict[Arm, int], dict[Arm, int]]:
         """(pulls, wins) per arm, counted once per dataset."""
         pulls = {Arm.LEFT: 0, Arm.RIGHT: 0}
         wins = {Arm.LEFT: 0, Arm.RIGHT: 0}
-        for (arm, reward), count in Counter(self.records).items():
+        for key, count in Counter(map(id, self.records)).items():
+            arm, reward = _SHARED[key]
             pulls[arm] += count
             wins[arm] += reward * count
         return pulls, wins
@@ -97,7 +137,7 @@ class TrainConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     iteration: int
     theta_left: float
@@ -121,39 +161,45 @@ def load_dataset(path: str | Path) -> TransitionDataset:
 
     Blank lines are skipped; anything else malformed raises DatasetError
     naming the offending line, including a reward of true, false, 0.0 or
-    1.0.  Both arms must appear at least once.
+    1.0.  Both arms must appear at least once.  Each distinct stripped
+    line is parsed once; its later copies share the first one's record.
     """
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"dataset file not found: {path}")
+    parsed: dict[str, tuple[Arm, int]] = {}
     records: list[tuple[Arm, int]] = []
     with path.open() as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise DatasetError(f"{path}:{lineno}: expected an object, got {obj!r}")
-            action = obj.get("action")
-            if action not in ("left", "right"):
-                raise DatasetError(
-                    f"{path}:{lineno}: unknown action {action!r} (want 'left' or 'right')"
-                )
-            reward = obj.get("reward")
-            if type(reward) is not int or reward not in (0, 1):
-                raise DatasetError(
-                    f"{path}:{lineno}: reward must be 0 or 1, got {reward!r}"
-                )
-            records.append((Arm(action), int(reward)))
-    dataset = TransitionDataset(tuple(records))
+            record = parsed.get(line)
+            if record is None:
+                record = parsed[line] = _parse_record(f"{path}:{lineno}", line)
+            records.append(record)
+    dataset = TransitionDataset(records)
     for arm, pulls in dataset.pulls.items():
         if pulls == 0:
             raise DatasetError(f"{path}: no records for the {arm.value} arm")
     return dataset
+
+
+def _parse_record(where: str, line: str) -> tuple[Arm, int]:
+    """The shared pair one dataset line holds; DatasetError names ``where``."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{where}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(obj, dict):
+        raise DatasetError(f"{where}: expected an object, got {obj!r}")
+    action = obj.get("action")
+    if action not in ("left", "right"):
+        raise DatasetError(f"{where}: unknown action {action!r} (want 'left' or 'right')")
+    reward = obj.get("reward")
+    if type(reward) is not int or reward not in (0, 1):
+        raise DatasetError(f"{where}: reward must be 0 or 1, got {reward!r}")
+    return _PAIRS[Arm(action)][reward]
 
 
 def synthesize_dataset(
@@ -170,14 +216,18 @@ def synthesize_dataset(
     uniforms = _PHILOX.uniforms(seed, 2 * pulls_per_arm).reshape(2, -1)
     records: list[tuple[Arm, int]] = []
     for arm, f, draws in zip((Arm.LEFT, Arm.RIGHT), (f_left, f_right), uniforms):
-        records.extend((arm, int(r)) for r in draws < f)
-    return TransitionDataset(tuple(records))
+        records.extend(map(_PAIRS[arm].__getitem__, (draws < f).tolist()))
+    return TransitionDataset(records)
 
 
 def write_dataset(dataset: TransitionDataset, path: str | Path) -> None:
+    """One JSON Lines record per line, each distinct line rendered once."""
+    lines = {
+        key: json.dumps({"action": arm.value, "reward": reward}) + "\n"
+        for key, (arm, reward) in _SHARED.items()
+    }
     with Path(path).open("w") as handle:
-        for arm, reward in dataset.records:
-            handle.write(json.dumps({"action": arm.value, "reward": reward}) + "\n")
+        handle.writelines(map(lines.__getitem__, map(id, dataset.records)))
 
 
 def empirical_frequencies(data: TransitionDataset) -> Frequencies:
@@ -230,17 +280,22 @@ def optimize(
     backend = backend or IdealBackend()
     target = empirical_frequencies(data)
     trace: list[TraceEntry] = []
+    # The searches move about one angle per evaluation, so about half the
+    # trace's angles repeat an earlier one; the entries share one float
+    # per distinct angle, keyed by its bits (hex keeps -0.0 apart from 0.0).
+    angles: dict[str, float] = {}
 
     def objective(theta: np.ndarray) -> float:
         k = len(trace)
+        left, right = (angles.setdefault(a.hex(), a) for a in theta.tolist())
         meas = measured_frequencies(
-            BanditParams(float(theta[0]), float(theta[1])),
+            BanditParams(left, right),
             config.shots_per_eval,
             backend,
             derive_seed(config.seed, k),
         )
         loss = mse_loss(meas, target)
-        trace.append(TraceEntry(k, float(theta[0]), float(theta[1]), loss))
+        trace.append(TraceEntry(k, left, right, loss))
         return loss
 
     optimizer = OPTIMIZERS[config.optimizer]()
@@ -255,10 +310,10 @@ def optimize(
     # Final acceptance measurement: one reserved evaluation re-scores the
     # returned parameters, so the reported loss is a fresh draw rather
     # than the minimum over noisy search evaluations.
-    final_theta = np.asarray(best.x, dtype=float)
-    final_loss = objective(final_theta)
+    objective(np.asarray(best.x, dtype=float))
+    final = trace[-1]
     return TrainingResult(
         trace=tuple(trace),
-        final_theta=(float(final_theta[0]), float(final_theta[1])),
-        final_loss=final_loss,
+        final_theta=(final.theta_left, final.theta_right),
+        final_loss=final.loss,
     )

@@ -1,5 +1,8 @@
 """Shared test utilities."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 
 from qbandit.bandit import Arm
@@ -111,3 +114,24 @@ def reference_mc_estimate(
     pick_left = rng.random(num_samples) < p_left
     wins = rng.random(num_samples) < np.where(pick_left, win_left, win_right)
     return float(wins.mean())
+
+
+def traced_bytes(call) -> tuple[int, int]:
+    """``(kept, peak)`` of one ``call()``, by tracemalloc: the bytes that
+    dropping its result frees, after a ``gc.collect()`` on each side, and
+    the traced peak while it ran.  ``call`` runs once untraced first, so
+    that the caches it fills are not counted."""
+    call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del result
+        gc.collect()
+        kept = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return kept, peak
