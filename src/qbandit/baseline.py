@@ -34,14 +34,15 @@ def monte_carlo_estimate(
     draws its reward with uniform ``num_samples + i``."""
     check_number("num_samples", num_samples, low=1)
     check_seed("seed", seed, key=True)
-    arm_draws, reward_draws = _PHILOX.uniforms(seed, 2 * num_samples).reshape(2, -1)
-    win_prob = np.where(
-        arm_draws < policy.p_left,
-        reward_probability(params.theta_left),
-        reward_probability(params.theta_right),
+    win_left = reward_probability(params.theta_left)
+    win_right = reward_probability(params.theta_right)
+    wins = sum(
+        int(np.count_nonzero(rewards < np.where(arms < policy.p_left, win_left, win_right)))
+        for arms, rewards in zip(
+            _PHILOX.blocks(seed, num_samples), _PHILOX.blocks(seed, num_samples, num_samples)
+        )
     )
-    wins = reward_draws < win_prob
-    return McEstimate(float(wins.mean()), num_samples, seed)
+    return McEstimate(wins / num_samples, num_samples, seed)
 
 
 def mc_samples_needed(epsilon: float, delta: float) -> int:

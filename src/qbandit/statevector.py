@@ -27,12 +27,15 @@ one column or of four and more.  (OpenBLAS's product writes some zeros
 of 2- and 3-column blocks as -0; no probability depends on a zero's
 sign.)
 
-Every random stream is Philox (Salmon et al., SC'11) keyed by a seed.
-``_PHILOX`` holds one bit generator per thread and re-keys it for each
-stream, which gives the words a new ``np.random.Philox`` with that key
-would give without building one.  The sampler reads its uniforms in
-blocks of at most ``_BLOCK_WORDS`` and counts each block at the CDF's
-edges, so its memory is O(block + outcomes), not O(shots).
+Every random stream is Philox (Salmon et al., SC'11) keyed by a seed,
+and its words are addressed by index.  ``_PHILOX`` holds one bit
+generator per thread and, for each read, sets its key and the counter of
+the first word, which gives the words a new ``np.random.Philox`` with
+that key would give from that index without building one.  The ideal
+sampler, the synthesized dataset and the Monte Carlo baseline hold at
+most ``_BLOCK_WORDS`` words of a stream at once: they read their
+uniforms through ``_PHILOX.blocks``, and the sampler counts each block
+at the CDF's edges, so its memory is O(block + outcomes), not O(shots).
 
 All operations are pure: they take a state in and return a new one.
 A circuit object simulates itself from |0...0> at most once, on first
@@ -47,7 +50,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -63,18 +66,33 @@ _SWAP = np.array(
 )
 
 
+def _angle(kind: str, value):
+    """``value``, once it is known to be a finite angle for a ``kind``
+    gate: NaN, infinities and integers too large for a float are refused.
+    A value that is not a real number raises TypeError."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SimulationError(f"{kind} gate angle must convert to a finite float, got {_shown(value)}")
+    return value
+
+
 def _ry(theta: float) -> np.ndarray:
+    _angle("RY", theta)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 # kind -> the gate's matrix, built from its params; UNITARY takes its
-# matrix from the payload instead.
+# matrix from the payload instead.  A gate's angle is checked in its
+# builder, after the call has checked how many params it takes.
 _MATRICES = {
     "X": lambda: _X,
     "RY": _ry,
     "H": lambda: _H,
-    "PHASE": lambda phi: np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex),
+    "PHASE": lambda phi: np.array([[1, 0], [0, np.exp(1j * _angle("PHASE", phi))]], dtype=complex),
     "Z": lambda: _Z,
     "SWAP": lambda: _SWAP,
 }
@@ -213,15 +231,17 @@ def check_seed(name: str, value, key: bool = False) -> None:
 
 
 class _Philox(threading.local):
-    """Philox streams by key, from one bit generator per thread.
+    """Philox streams by key, read by word index, from one bit generator
+    per thread.
 
-    Re-keying it starts the stream a new ``np.random.Philox`` with that
-    key would, at about a fifth of the cost: that constructor first
-    gathers OS entropy for a seed that the key then replaces.  Each
-    thread has its own generator, so streams on different threads cannot
-    interleave."""
+    Setting its key and counter starts the stream a new
+    ``np.random.Philox`` with that key would, at about a fifth of the
+    cost: that constructor first gathers OS entropy for a seed that the
+    key then replaces.  Each read sets both afresh, so reads of several
+    streams may interleave on one thread; each thread has its own
+    generator, so streams on different threads cannot interleave."""
 
-    # Any fixed seed will do, since every stream is re-keyed before use;
+    # Any fixed seed will do, since every read sets the key and counter;
     # a prebuilt one spares the constructor the OS entropy as well.
     _SEED = np.random.SeedSequence(0)
 
@@ -229,27 +249,43 @@ class _Philox(threading.local):
         self._bitgen = np.random.Philox(self._SEED)
         self._start = self._bitgen.state  # counter 0, nothing buffered
 
-    def raw(self, key: int) -> Callable[[int], np.ndarray]:
-        """``random_raw`` of ``key``'s stream, good on this thread until
-        the next call."""
+    def raw(self, key: int, start: int = 0) -> Callable[[int], np.ndarray]:
+        """``random_raw`` of ``key``'s stream from word ``start`` on, good
+        on this thread until the next call.  numpy increments the counter
+        before it makes four words, so word w comes from counter w // 4 +
+        1: the counter is set to ``start // 4`` and the first ``start %
+        4`` words of its block are dropped."""
         high, low = divmod(int(key), 2**64)
-        self._start["state"]["key"] = np.array([low, high], dtype=np.uint64)
+        state = self._start["state"]  # written in place: cheaper than new arrays
+        state["key"][0], state["key"][1] = low, high
+        state["counter"][0] = start // 4
         self._bitgen.state = self._start
+        if start % 4:
+            self._bitgen.random_raw(start % 4)
         return self._bitgen.random_raw
 
-    def uniforms(self, key: int, count: int) -> np.ndarray:
-        """The first ``count`` uniforms of ``key``'s stream, as numpy's
-        ``Generator.random(count)`` draws them from a new Philox with that
-        key: word w is ``(w >> 11) * 2**-53``."""
-        return (self.raw(key)(count) >> 11) * 2.0**-53
+    def uniforms(self, key: int, count: int, start: int = 0) -> np.ndarray:
+        """Uniforms ``start`` to ``start + count - 1`` of ``key``'s stream,
+        as numpy's ``Generator.random`` draws them from a new Philox with
+        that key: word w is ``(w >> 11) * 2**-53``.  The only decode of
+        words to uniforms outside ``noise``."""
+        return (self.raw(key, start)(count) >> 11) * 2.0**-53
+
+    def blocks(self, key: int, count: int, start: int = 0) -> Iterator[np.ndarray]:
+        """``uniforms(key, count, start)`` in consecutive blocks of at most
+        ``_BLOCK_WORDS``.  Each block is read afresh, so the blocks of two
+        streams may be interleaved on one thread."""
+        for first in range(start, start + count, _BLOCK_WORDS):
+            yield self.uniforms(key, min(_BLOCK_WORDS, start + count - first), first)
 
 
 _PHILOX = _Philox()
 
 # A block of raw words holds at most this many (512 KB of uint64), so a
-# sampler's memory does not grow with shots.  The ideal sampler reads its
-# uniforms in blocks of this size; the noisy decode puts as many shots'
-# rows in one block as fit, or one row if that is longer.
+# sampler's memory does not grow with the stream it reads.  Every reader
+# of uniforms takes them in blocks of this size (``_Philox.blocks``); the
+# noisy decode puts as many shots' rows in one block as fit, or one row
+# if that is longer.
 _BLOCK_WORDS = 2**16
 
 
@@ -345,7 +381,7 @@ def x(target: int, *, controls: Iterable[int] = ()) -> Gate:
 
 
 def ry(theta: float, target: int, *, controls: Iterable[int] = ()) -> Gate:
-    return Gate("RY", (target,), tuple(controls), (float(theta),))
+    return Gate("RY", (target,), tuple(controls), (float(_angle("RY", theta)),))
 
 
 def h(target: int, *, controls: Iterable[int] = ()) -> Gate:
@@ -353,7 +389,7 @@ def h(target: int, *, controls: Iterable[int] = ()) -> Gate:
 
 
 def phase(phi: float, target: int, *, controls: Iterable[int] = ()) -> Gate:
-    return Gate("PHASE", (target,), tuple(controls), (float(phi),))
+    return Gate("PHASE", (target,), tuple(controls), (float(_angle("PHASE", phi)),))
 
 
 def z(target: int, *, controls: Iterable[int] = ()) -> Gate:
@@ -648,8 +684,8 @@ def sample_counts(
     Philox stream keyed by ``seed`` selects the outcome whose CDF step it
     falls in, so results do not depend on evaluation order.  The shots
     are counted at the CDF's edges (``_tally``) rather than one by one,
-    in blocks of at most ``_BLOCK_WORDS`` uniforms whose counts add up;
-    the counts are those of the per-shot inverse CDF.  Outcomes appear in
+    in the blocks of ``_PHILOX.blocks``, whose counts add up; the counts
+    are those of the per-shot inverse CDF.  Outcomes appear in
     increasing index order, those with no shot left out.
     """
     check_number("shots", shots)
@@ -657,13 +693,7 @@ def sample_counts(
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
     marg = _marginal(state.amps, state.num_qubits, qubits)
-    read = _PHILOX.raw(seed)
-    # Each block's words continue the one stream where the last block's
-    # ended, decoded to uniforms as ``_PHILOX.uniforms`` decodes them.
-    tally = sum(
-        _tally(marg, (read(min(_BLOCK_WORDS, shots - start)) >> 11) * 2.0**-53)
-        for start in range(0, shots, _BLOCK_WORDS)
-    )
+    tally = sum(_tally(marg, uniforms) for uniforms in _PHILOX.blocks(seed, shots))
     counts = {_bitstring(m, marg): int(tally[m]) for m in np.flatnonzero(tally)}
     return MeasurementCounts(counts, shots)
 

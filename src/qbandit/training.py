@@ -23,6 +23,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,7 @@ def _shared_pair(index: int, record) -> tuple[Arm, int]:
 class TransitionDataset:
     """Batch of (action, reward) records with per-arm tallies.
 
-    The records, given as any sequence, are checked and mapped onto the
+    The records, given as any iterable, are checked and mapped onto the
     shared pairs at construction and kept as a tuple, so a dataset keeps
     one pointer per record."""
 
@@ -213,11 +214,14 @@ def synthesize_dataset(
     check_real("f_right", f_right, 0, 1)
     check_number("pulls_per_arm", pulls_per_arm, low=1)
     check_seed("seed", seed, key=True)
-    uniforms = _PHILOX.uniforms(seed, 2 * pulls_per_arm).reshape(2, -1)
-    records: list[tuple[Arm, int]] = []
-    for arm, f, draws in zip((Arm.LEFT, Arm.RIGHT), (f_left, f_right), uniforms):
-        records.extend(map(_PAIRS[arm].__getitem__, (draws < f).tolist()))
-    return TransitionDataset(records)
+    arms = ((Arm.LEFT, f_left, 0), (Arm.RIGHT, f_right, pulls_per_arm))
+    return TransitionDataset(
+        chain.from_iterable(
+            map(_PAIRS[arm].__getitem__, (draws < f).tolist())
+            for arm, f, start in arms
+            for draws in _PHILOX.blocks(seed, pulls_per_arm, start)
+        )
+    )
 
 
 def write_dataset(dataset: TransitionDataset, path: str | Path) -> None:
