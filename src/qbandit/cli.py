@@ -46,6 +46,14 @@ from .training import (
 )
 
 
+# The version of the bytes a run writes, recorded in every manifest.  It
+# goes up with each change that moves an output file's bytes on purpose:
+# 1 is every output before manifests recorded it; 2 moved the last digits
+# of ideal ``exact_prob`` cells, when the ideal simulator began applying a
+# repeated gate segment as one matrix power.
+OUTPUT_VERSION = 2
+
+
 class ConfigError(ValueError):
     """Raised for malformed experiment configuration, naming the field."""
 
@@ -170,6 +178,7 @@ def write_manifest(
             "python": platform.python_version(),
             "numpy": np.__version__,
             "qbandit": __version__,
+            "output_version": OUTPUT_VERSION,
         },
         "outputs": sorted(outputs),
     }

@@ -10,10 +10,20 @@ Conventions used throughout the package:
   the gate-matrix index.
 
 Each gate resolves its matrix once, when it is constructed, and every
-gate (ideal circuits, noisy trajectories and ``circuit_unitary``) goes
-through one kernel, ``_apply_matrix``, which takes one state or a batch
-of states held as columns.  The marginal and the sampler take a batch
-too, one state and one uniform per column.
+amplitude update (ideal circuits, noisy trajectories and
+``circuit_unitary``) goes through one kernel, ``_apply_matrix``, which
+takes one state or a batch of states held as columns.  The marginal and
+the sampler take a batch too, one state and one uniform per column.
+
+The ideal paths (``apply_circuit``, ``Circuit.final_state`` and
+``circuit_unitary``) run a circuit's step plan, ``Circuit.steps``, made
+once per circuit object: a segment of gate objects repeated back to back
+on at most three qubits, such as the 2^k copies of a controlled Grover
+operator in phase estimation, is one kernel call with the segment's
+matrix raised to the number of copies by repeated squaring.  Every other
+gate is its own step, with its own matrix, so a circuit with no such
+segment gives the same bits as a gate-by-gate loop.  Noisy trajectories
+put errors after each gate and run the gates themselves.
 
 A gate whose matrix is a permutation with unit phases (every nonzero
 entry exactly 1, -1, i or -i: X, SWAP, Z and their controlled forms,
@@ -50,7 +60,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -433,6 +443,12 @@ class Circuit:
         return len(self.gates)
 
     @functools.cached_property
+    def steps(self) -> tuple[Gate | _Step, ...]:
+        """The kernel calls that simulate this circuit, planned on first
+        use (see ``_plan``): ``gates`` itself when nothing folds."""
+        return _plan(self.gates)
+
+    @functools.cached_property
     def final_state(self) -> StateVector:
         """The state this circuit makes from |0...0>, simulated on first use
         and then shared, read-only, by every later caller of this object."""
@@ -539,7 +555,8 @@ def _apply_matrix(
 
 
 def apply_circuit(state: StateVector, circ: Circuit) -> StateVector:
-    """Apply every gate of ``circ`` in order; returns a new state."""
+    """Apply ``circ.steps`` in order, which is every gate with each
+    repeated segment folded; returns a new state."""
     if circ.num_qubits != state.num_qubits:
         raise SimulationError(
             f"circuit on {circ.num_qubits} qubits cannot act on a "
@@ -549,17 +566,85 @@ def apply_circuit(state: StateVector, circ: Circuit) -> StateVector:
 
 
 def _apply_gates(amps: np.ndarray, circ: Circuit) -> np.ndarray:
-    """Every gate of ``circ`` in order, in place on one state or a batch."""
-    for gate in circ.gates:
-        _apply_matrix(amps, circ.num_qubits, gate.matrix, gate.targets, gate.controls, gate.moves)
+    """Every step of ``circ.steps`` in order, in place on one state or a batch."""
+    for step in circ.steps:
+        _apply_matrix(amps, circ.num_qubits, step.matrix, step.targets, step.controls, step.moves)
     return amps
+
+
+class _Step(NamedTuple):
+    """One kernel call for a folded run of gates: the fields of ``Gate``
+    that ``_apply_matrix`` reads."""
+
+    matrix: np.ndarray
+    targets: tuple[int, ...]
+    controls: tuple[int, ...]
+    moves: tuple | None
+
+
+# A folded run may touch at most this many qubits, UNITARY's limit: its
+# matrix is at most 8 x 8.
+_FOLD_QUBITS = 3
+
+
+def _plan(gates: tuple[Gate, ...]) -> tuple[Gate | _Step, ...]:
+    """``gates`` as kernel calls: a segment of p >= 2 gate objects repeated
+    m >= 2 times back to back, on at most ``_FOLD_QUBITS`` qubits, becomes
+    one ``_Step``; every other gate is its own step.
+
+    The scan notes where it last saw each object, by identity.  Meeting
+    one again p >= 2 gates on, it compares the p gates before with those
+    that follow as tuple slices, which match identical objects at C speed
+    (an equal object, being the same gate, matches too), and then counts
+    the further copies a slice at a time."""
+    if len(gates) < 4:  # a fold takes p * m >= 4 gates
+        return gates
+    steps: list[Gate | _Step] = []
+    seen: dict[int, int] = {}
+    i = 0
+    while i < len(gates):
+        key = id(gates[i])
+        j = seen.get(key, i)
+        p = i - j
+        if p < 2 or gates[i : i + p] != gates[j:i]:
+            seen[key] = i
+            steps.append(gates[i])
+            i += 1
+            continue
+        segment = gates[j:i]
+        m = 2
+        while gates[j + m * p : j + (m + 1) * p] == segment:
+            m += 1
+        del steps[-p:]  # the first copy, added gate by gate
+        qubits = {q for g in segment for q in g.qubits}
+        if len(qubits) > _FOLD_QUBITS:
+            steps.extend(gates[j : j + m * p])
+        else:
+            steps.append(_power_step(segment, sorted(qubits), m))
+        seen.clear()  # the steps before hold no more single gates to fold
+        i = j + m * p
+    return gates if len(steps) == len(gates) else tuple(steps)
+
+
+def _power_step(segment: tuple[Gate, ...], qubits: list[int], m: int) -> _Step:
+    """``segment`` applied ``m`` times, as one step on ``qubits``: its
+    ``circuit_unitary`` on those qubits (``qubits[0]`` least significant)
+    raised to m by repeated squaring (``np.linalg.matrix_power``)."""
+    local = {q: j for j, q in enumerate(qubits)}
+    unitary = np.eye(2 ** len(qubits), dtype=complex)
+    for g in segment:
+        targets, controls = tuple(map(local.get, g.targets)), tuple(map(local.get, g.controls))
+        _apply_matrix(unitary, len(qubits), g.matrix, targets, controls, g.moves)
+    matrix = np.linalg.matrix_power(unitary, m)
+    matrix.setflags(write=False)
+    return _Step(matrix, tuple(qubits), (), _moves(matrix))
 
 
 def circuit_unitary(circ: Circuit) -> np.ndarray:
     """Dense matrix of the whole circuit: column j is the circuit applied
     to basis state j, all columns in one batched pass.
 
-    Intended for verification on small registers; O(4^n * gates).
+    Intended for verification on small registers; O(4^n * steps).
     """
     return _apply_gates(np.eye(2**circ.num_qubits, dtype=complex), circ)
 

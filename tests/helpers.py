@@ -50,6 +50,15 @@ def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator) ->
     return Circuit(num_qubits, tuple(gates))
 
 
+def gate_by_gate(circ: Circuit) -> np.ndarray:
+    """The amplitudes ``circ`` makes from |0...0>, one ``_apply_matrix``
+    per gate in order: the oracle for ``Circuit.steps``."""
+    amps = new_state(circ.num_qubits).amps
+    for gate in circ.gates:
+        _apply_matrix(amps, circ.num_qubits, gate.matrix, gate.targets, gate.controls, gate.moves)
+    return amps
+
+
 def reference_trajectory(circ: Circuit, config, seed: int, qubits=None) -> str:
     """One noisy shot, gate by gate: the independent oracle for the
     batched trajectories in ``qbandit.noise``.  Per gate it applies the
