@@ -43,11 +43,17 @@ _Key = TypeVar("_Key", str, int)
 def apportion(probabilities: dict[_Key, float], shots: int) -> dict[_Key, int]:
     """Largest-remainder rounding of ``probabilities * shots`` to integers
     that sum exactly to ``shots``; deterministic (ties break on key, so
-    keys must be mutually comparable: bitstrings or integers)."""
+    keys must be mutually comparable: bitstrings or integers).  Shots
+    above 2**53, where a float product p * shots no longer holds every
+    integer, are refused with a ValueError, and so are probabilities too
+    far from summing to 1 for the remainders to make up the difference."""
+    check_number("shots", shots, low=0, high=2**53)
     items = sorted(probabilities.items())
     raw = [(key, p * shots) for key, p in items]
     counts = {key: int(v) for key, v in raw}
     leftover = shots - sum(counts.values())
+    if not 0 <= leftover <= len(raw):
+        raise ValueError(f"cannot apportion {shots} shots: probabilities sum to {sum(probabilities.values())!r}")
     remainders = sorted(raw, key=lambda kv: (-(kv[1] - int(kv[1])), kv[0]))
     for key, _ in remainders[:leftover]:
         counts[key] += 1

@@ -92,24 +92,26 @@ def build_environment_circuit(params: BanditParams) -> Circuit:
     return Circuit(2, _environment_gates(params))
 
 
-def build_arm_circuit(arm: Arm, params: BanditParams) -> Circuit:
-    """Fixed-action circuit for one arm, starting from |00>.
+def _arm_circuits(params: BanditParams) -> tuple[Circuit, Circuit]:
+    """(left, right) fixed-action circuits from |00>, both cut from one
+    environment gate list.
 
-    Left: X, controlled-RY(theta_left), X.  Right: an X first prepares
-    |1> on the action qubit, then the environment's gate sequence runs
-    with the left-arm rotation inactive.  Either way the action qubit
-    ends in the chosen arm's state and only that arm's angle can affect
-    the reward qubit.
+    Left: its first three gates, X, controlled-RY(theta_left), X.  Right:
+    an X first prepares |1> on the action qubit, then the whole list runs
+    with the left-arm rotation inactive.  Either way the action qubit ends
+    in the chosen arm's state and only that arm's angle can affect the
+    reward qubit.
     """
-    if arm is Arm.LEFT:
-        gates = (
-            _FLIP_ACTION,
-            ry(params.theta_left, REWARD_QUBIT, controls=[ACTION_QUBIT]),
-            _FLIP_ACTION,
-        )
-    else:
-        gates = (_FLIP_ACTION,) + _environment_gates(params)
-    return Circuit(2, gates)
+    env = _environment_gates(params)
+    return Circuit(2, env[:3]), Circuit(2, (_FLIP_ACTION, *env))
+
+
+def build_arm_circuit(arm: Arm, params: BanditParams) -> Circuit:
+    """Fixed-action circuit for one arm, starting from |00>; ``arm`` must
+    be an ``Arm``."""
+    if not isinstance(arm, Arm):
+        raise ValueError(f"arm must be an Arm, got {arm!r}")
+    return _arm_circuits(params)[arm is Arm.RIGHT]
 
 
 def policy_value(policy: PolicySpec, params: BanditParams) -> float:

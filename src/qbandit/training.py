@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .backends import Backend, IdealBackend
-from .bandit import REWARD_QUBIT, Arm, BanditParams, build_arm_circuit
+from .bandit import REWARD_QUBIT, Arm, BanditParams, _arm_circuits
 from .optimizers import OPTIMIZERS, check_radii
 from .statevector import _PHILOX, check_number, check_real, check_seed, derive_seed
 
@@ -148,9 +148,18 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class TrainingResult:
+    """An ``optimize`` run's evaluations in order.  The last entry is the
+    re-scored best point, so the final angles and loss are read from it."""
+
     trace: tuple[TraceEntry, ...]
-    final_theta: tuple[float, float]
-    final_loss: float
+
+    @property
+    def final_theta(self) -> tuple[float, float]:
+        return self.trace[-1].theta_left, self.trace[-1].theta_right
+
+    @property
+    def final_loss(self) -> float:
+        return self.trace[-1].loss
 
     @property
     def iterations(self) -> int:
@@ -252,13 +261,11 @@ def measured_frequencies(
     reward frequencies.  Each arm gets its own stream derived from
     (seed, arm index)."""
     check_number("shots", shots, low=1)
-    values = []
-    for index, arm in enumerate((Arm.LEFT, Arm.RIGHT)):
-        circ = build_arm_circuit(arm, params)
-        values.append(
-            backend.frequency(circ, REWARD_QUBIT, shots, derive_seed(seed, index))
-        )
-    return Frequencies(values[0], values[1])
+    left, right = _arm_circuits(params)
+    return Frequencies(
+        backend.frequency(left, REWARD_QUBIT, shots, derive_seed(seed, 0)),
+        backend.frequency(right, REWARD_QUBIT, shots, derive_seed(seed, 1)),
+    )
 
 
 def mse_loss(meas: Frequencies, data: Frequencies) -> float:
@@ -278,8 +285,9 @@ def optimize(
     Every objective evaluation is one full measurement cycle; evaluation
     k draws its shots from streams keyed by (config.seed, k, arm), so a
     rerun with the same config reproduces the trace exactly on the
-    ideal backend.  The returned final point is the best evaluation
-    accepted by the optimizer (lowest recorded loss).
+    ideal backend.  The optimizer's best point (lowest recorded loss) is
+    re-scored by one last evaluation, and that last trace entry is the
+    result's final point: ``final_theta`` and ``final_loss`` read it.
     """
     backend = backend or IdealBackend()
     target = empirical_frequencies(data)
@@ -315,9 +323,4 @@ def optimize(
     # returned parameters, so the reported loss is a fresh draw rather
     # than the minimum over noisy search evaluations.
     objective(np.asarray(best.x, dtype=float))
-    final = trace[-1]
-    return TrainingResult(
-        trace=tuple(trace),
-        final_theta=(final.theta_left, final.theta_right),
-        final_loss=final.loss,
-    )
+    return TrainingResult(tuple(trace))
