@@ -22,8 +22,14 @@ on at most three qubits, such as the 2^k copies of a controlled Grover
 operator in phase estimation, is one kernel call with the segment's
 matrix raised to the number of copies by repeated squaring.  Every other
 gate is its own step, with its own matrix, so a circuit with no such
-segment gives the same bits as a gate-by-gate loop.  Noisy trajectories
-put errors after each gate and run the gates themselves.
+segment gives the same bits as a gate-by-gate loop.  A flat gate list is
+scanned for its repeats; a builder that knows them, as phase estimation
+does, gives the circuit its runs, ``(segment, copies)`` pairs, and only
+their single copies are scanned.  Segments with the same local matrix
+under different qubits share it, built once, and one chain of its
+squarings: the 2^k-th power is the k-th squaring, the product
+``np.linalg.matrix_power`` makes.  Noisy trajectories put errors after
+each gate and run the gates themselves.
 
 A gate whose matrix is a permutation with unit phases (every nonzero
 entry exactly 1, -1, i or -i: X, SWAP, Z and their controlled forms,
@@ -321,15 +327,7 @@ class Gate:
     moves: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for q in self.qubits:
-            if type(q) is not int and not isinstance(q, np.integer) or q < 0:  # refuses bools too
-                raise SimulationError(f"{self.kind} gate qubit must be a non-negative integer, got {q!r}")
-        if set(self.targets) & set(self.controls):
-            raise SimulationError(
-                f"targets {self.targets} and controls {self.controls} overlap"
-            )
-        if len(set(self.targets)) != len(self.targets):
-            raise SimulationError(f"duplicate target qubits: {self.targets}")
+        _check_qubits(self.kind, self.targets, self.controls, self.qubits)
         if self.kind == "UNITARY":
             if self.payload is None:
                 raise SimulationError("UNITARY gate needs a matrix payload")
@@ -382,8 +380,29 @@ class Gate:
         return replace(self, params=tuple(-p for p in self.params), payload=payload)
 
     def controlled(self, *extra_controls: int) -> Gate:
-        """Same gate with additional control qubits."""
-        return replace(self, controls=self.controls + tuple(extra_controls))
+        """Same gate with additional control qubits.  Its matrix and moves
+        do not depend on the controls, so the new gate shares them, and
+        only the new controls are checked."""
+        controls = self.controls + extra_controls
+        _check_qubits(self.kind, self.targets, controls, extra_controls)
+        gate = object.__new__(Gate)
+        gate.__dict__.update(self.__dict__, controls=controls)
+        return gate
+
+
+def _check_qubits(kind: str, targets: tuple, controls: tuple, new: tuple) -> None:
+    """Refuse a gate's qubits: any of ``new`` (those not checked before)
+    that is not a non-negative integer, targets that overlap controls, and
+    a target or a control given twice."""
+    for q in new:
+        if type(q) is not int and not isinstance(q, np.integer) or q < 0:  # refuses bools too
+            raise SimulationError(f"{kind} gate qubit must be a non-negative integer, got {q!r}")
+    if set(targets) & set(controls):
+        raise SimulationError(f"targets {targets} and controls {controls} overlap")
+    if len(set(targets)) != len(targets):
+        raise SimulationError(f"duplicate target qubits: {targets}")
+    if len(set(controls)) != len(controls):
+        raise SimulationError(f"duplicate control qubits: {controls}")
 
 
 def x(target: int, *, controls: Iterable[int] = ()) -> Gate:
@@ -423,16 +442,37 @@ def _check_width(n) -> None:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list on a fixed-width qubit register."""
+    """Ordered gate list on a fixed-width qubit register.
+
+    A builder that knows where its gates repeat gives ``runs`` instead of
+    ``gates``: ``(segment, copies)`` pairs, each a sequence of gates
+    applied ``copies`` times back to back, held as tuples.  ``gates`` is
+    then their flat list, and the runs only spare ``steps`` its scan; they
+    take no part in equality.
+    """
 
     num_qubits: int
     gates: tuple[Gate, ...] = ()
+    runs: tuple[tuple[tuple[Gate, ...], int], ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         _check_width(self.num_qubits)
+        distinct = self.gates
+        if self.runs is not None:
+            if self.gates:
+                raise SimulationError("a circuit takes its gates or its runs, not both")
+            runs = []
+            for segment, copies in self.runs:
+                check_number("copies", copies, low=1)
+                runs.append((tuple(segment), int(copies)))
+            object.__setattr__(self, "runs", tuple(runs))
+            object.__setattr__(self, "gates", sum((segment * copies for segment, copies in runs), ()))
+            distinct = (g for segment, _ in runs for g in segment)
         # Gates check their own qubits are non-negative; a circuit repeats
         # gate objects, so each distinct one is checked once.
-        for gate in {id(g): g for g in self.gates}.values():
+        for gate in {id(g): g for g in distinct}.values():
             if (qubits := gate.qubits) and max(qubits) >= self.num_qubits:
                 raise SimulationError(
                     f"gate {gate.kind} on qubits {gate.qubits} exceeds "
@@ -445,8 +485,21 @@ class Circuit:
     @functools.cached_property
     def steps(self) -> tuple[Gate | _Step, ...]:
         """The kernel calls that simulate this circuit, planned on first
-        use (see ``_plan``): ``gates`` itself when nothing folds."""
-        return _plan(self.gates)
+        use: ``gates`` itself when nothing folds.
+
+        A flat gate list is scanned for its repeats (``_plan``).  A
+        circuit given by runs is not: each run of two or more copies is
+        one power step (``_repeat_steps``), and only the single-copy runs
+        are scanned, so the plan is the one ``_plan(gates)`` makes.  Runs
+        whose segments have the same local matrix share it and one chain
+        of its squarings."""
+        if self.runs is None:
+            return _plan(self.gates)
+        steps: list[Gate | _Step] = []
+        chains: dict[tuple, list[np.ndarray]] = {}
+        for segment, copies in self.runs:
+            steps.extend(_plan(segment) if copies == 1 else _repeat_steps(segment, copies, chains))
+        return self.gates if len(steps) == len(self.gates) else tuple(steps)
 
     @functools.cached_property
     def final_state(self) -> StateVector:
@@ -589,8 +642,8 @@ _FOLD_QUBITS = 3
 
 def _plan(gates: tuple[Gate, ...]) -> tuple[Gate | _Step, ...]:
     """``gates`` as kernel calls: a segment of p >= 2 gate objects repeated
-    m >= 2 times back to back, on at most ``_FOLD_QUBITS`` qubits, becomes
-    one ``_Step``; every other gate is its own step.
+    m >= 2 times back to back is folded by ``_repeat_steps``; every other
+    gate is its own step.
 
     The scan notes where it last saw each object, by identity.  Meeting
     one again p >= 2 gates on, it compares the p gates before with those
@@ -601,6 +654,7 @@ def _plan(gates: tuple[Gate, ...]) -> tuple[Gate | _Step, ...]:
         return gates
     steps: list[Gate | _Step] = []
     seen: dict[int, int] = {}
+    chains: dict[tuple, list[np.ndarray]] = {}
     i = 0
     while i < len(gates):
         key = id(gates[i])
@@ -616,28 +670,46 @@ def _plan(gates: tuple[Gate, ...]) -> tuple[Gate | _Step, ...]:
         while gates[j + m * p : j + (m + 1) * p] == segment:
             m += 1
         del steps[-p:]  # the first copy, added gate by gate
-        qubits = {q for g in segment for q in g.qubits}
-        if len(qubits) > _FOLD_QUBITS:
-            steps.extend(gates[j : j + m * p])
-        else:
-            steps.append(_power_step(segment, sorted(qubits), m))
+        steps.extend(_repeat_steps(segment, m, chains))
         seen.clear()  # the steps before hold no more single gates to fold
         i = j + m * p
     return gates if len(steps) == len(gates) else tuple(steps)
 
 
-def _power_step(segment: tuple[Gate, ...], qubits: list[int], m: int) -> _Step:
-    """``segment`` applied ``m`` times, as one step on ``qubits``: its
-    ``circuit_unitary`` on those qubits (``qubits[0]`` least significant)
-    raised to m by repeated squaring (``np.linalg.matrix_power``)."""
+def _repeat_steps(
+    segment: tuple[Gate, ...], m: int, chains: dict[tuple, list[np.ndarray]]
+) -> list[Gate | _Step]:
+    """``segment`` applied ``m`` >= 2 times as steps: every gate of every
+    copy if it touches more than ``_FOLD_QUBITS`` qubits, else one step on
+    them whose matrix is the segment's ``circuit_unitary`` on those qubits
+    (the lowest one least significant) raised to m.
+
+    ``chains`` maps the bytes of the segment's gate matrices, placed on
+    its local qubits, to the local matrix and its squarings so far, so
+    segments that differ only in which qubits they touch share one.
+    m = 2^k takes the k-th squaring, which is the product
+    ``np.linalg.matrix_power`` makes for it; any other m takes
+    ``matrix_power`` itself."""
+    qubits = sorted({q for g in segment for q in g.qubits})
+    if len(qubits) > _FOLD_QUBITS:
+        return list(segment * m)
     local = {q: j for j, q in enumerate(qubits)}
-    unitary = np.eye(2 ** len(qubits), dtype=complex)
-    for g in segment:
-        targets, controls = tuple(map(local.get, g.targets)), tuple(map(local.get, g.controls))
-        _apply_matrix(unitary, len(qubits), g.matrix, targets, controls, g.moves)
-    matrix = np.linalg.matrix_power(unitary, m)
+    placed = [(g, tuple(map(local.get, g.targets)), tuple(map(local.get, g.controls))) for g in segment]
+    key = tuple((g.matrix.tobytes(), targets, controls) for g, targets, controls in placed)
+    chain = chains.get(key)
+    if chain is None:
+        unitary = np.eye(2 ** len(qubits), dtype=complex)
+        for g, targets, controls in placed:
+            _apply_matrix(unitary, len(qubits), g.matrix, targets, controls, g.moves)
+        chain = chains[key] = [unitary]
+    if m & (m - 1):
+        matrix = np.linalg.matrix_power(chain[0], m)
+    else:
+        while len(chain) < m.bit_length():
+            chain.append(chain[-1] @ chain[-1])
+        matrix = chain[m.bit_length() - 1]
     matrix.setflags(write=False)
-    return _Step(matrix, tuple(qubits), (), _moves(matrix))
+    return [_Step(matrix, tuple(qubits), (), _moves(matrix))]
 
 
 def circuit_unitary(circ: Circuit) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import gate_by_gate, random_circuit, traced_bytes
@@ -58,6 +58,7 @@ def test_ideal_qpe_matches_the_closed_form(p_left, theta_left, theta_right, n):
     copies=st.integers(2, 40),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(num_qubits=2, sizes=(2, 2, 2), copies=2, seed=1129762002)  # ``after`` equals the segment
 def test_a_repeated_segment_matches_the_gate_by_gate_reference(num_qubits, sizes, copies, seed):
     rng = np.random.default_rng(seed)
     before, segment, after = (random_circuit(num_qubits, k, rng).gates for k in sizes)
@@ -65,7 +66,11 @@ def test_a_repeated_segment_matches_the_gate_by_gate_reference(num_qubits, sizes
     want = gate_by_gate(circ)
     assert np.abs(circ.final_state.amps - want).max() < 1e-12
     if len({q for g in segment for q in g.qubits}) <= 3:
-        assert len(circ.steps) == len(before) + 1 + len(after)
+        # Copies of the segment, equal by value, that open ``after`` fold too.
+        p, extra = len(segment), 0
+        while after[extra * p : (extra + 1) * p] == segment:
+            extra += 1
+        assert len(circ.steps) == len(before) + 1 + len(after) - extra * p
     else:
         assert circ.steps == circ.gates
 
