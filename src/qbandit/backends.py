@@ -5,7 +5,9 @@ All three expose the same surface:
 * ``counts(circuit, shots, seed, qubits)`` — integer shot counts.
 * ``frequency(circuit, qubit, shots, seed)`` — P(qubit = 1) estimate.
 * ``exact_probabilities(circuit, qubits)`` — closed-form distribution,
-  or None when the backend cannot provide one (noisy).
+  a read-only ``ExactDistribution`` on the marginal array whose
+  bitstring keys are rendered only on iteration, or None when the
+  backend cannot provide one (noisy).
 
 ``IdealBackend`` implements all three once, always sampling, as hardware
 would.  The other two subclass it and override two methods each.  The
@@ -29,6 +31,7 @@ from typing import Iterable, TypeVar
 from .noise import NoiseConfig, noisy_counts
 from .statevector import (
     Circuit,
+    ExactDistribution,
     MeasurementCounts,
     check_number,
     check_seed,
@@ -76,7 +79,7 @@ class IdealBackend:
 
     def exact_probabilities(
         self, circ: Circuit, qubits: Iterable[int] | None = None
-    ) -> dict[str, float] | None:
+    ) -> ExactDistribution | None:
         return exact_distribution(circ.final_state, qubits)
 
     def frequency(self, circ: Circuit, qubit: int, shots: int, seed: int) -> float:
@@ -126,7 +129,7 @@ class NoisyBackend(IdealBackend):
 
     def exact_probabilities(
         self, circ: Circuit, qubits: Iterable[int] | None = None
-    ) -> dict[str, float] | None:
+    ) -> ExactDistribution | None:
         return None
 
 

@@ -32,6 +32,7 @@ from .bandit import build_environment_circuit, build_policy_circuit
 from .noise import NoiseConfig
 from .statevector import (
     Circuit,
+    ExactDistribution,
     Gate,
     check_number,
     check_real,
@@ -222,17 +223,18 @@ class FoldedDistribution(Mapping):
     point y to its probability, held as one float64 array over the
     2^(n-1)+1 grid points, about 4 KB at n = 10 where a dict takes 38 KB.
 
-    Built from a backend's exact distribution over the register (bitstring
-    keys, zero outcomes left out), its keys and values are ``_fold``'s:
-    the points some outcome folds onto, which are the nonzero ones, and
-    each value adds its outcomes in the same order, so with the same bits.
+    Built from a backend's exact distribution over the register, read
+    from its marginal array with no key rendered: its nonzero outcomes y,
+    in increasing order, fold onto min(y, 2^n - y).  Its keys and values
+    are ``_fold``'s over the same distribution: the points some outcome
+    folds onto, which are the nonzero ones, and each value adds its
+    outcomes in the same order, so with the same bits.
     """
 
     __slots__ = ("_probs",)
 
-    def __init__(self, outcomes: Mapping[str, float], n: int):
-        ys = np.array([int(bits, 2) for bits in outcomes], dtype=np.intp)
-        weights = np.fromiter(outcomes.values(), dtype=float, count=len(outcomes))
+    def __init__(self, outcomes: ExactDistribution, n: int):
+        ys, weights = outcomes.outcomes, outcomes.marginal[outcomes.outcomes]
         # bincount adds each bin's weights in input order, as ``_fold`` does.
         probs = np.bincount(np.minimum(ys, 2**n - ys), weights, minlength=2 ** (n - 1) + 1)
         probs.setflags(write=False)

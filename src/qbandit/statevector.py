@@ -65,6 +65,7 @@ import functools
 import math
 import numbers
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -716,9 +717,18 @@ def circuit_unitary(circ: Circuit) -> np.ndarray:
     """Dense matrix of the whole circuit: column j is the circuit applied
     to basis state j, all columns in one batched pass.
 
-    Intended for verification on small registers; O(4^n * steps).
+    Intended for verification on small registers; O(4^n * steps).  The
+    matrix holds 4^n amplitudes, so a register wider than MAX_QUBITS // 2,
+    whose matrix would outgrow the largest state, is refused before
+    anything is allocated.
     """
-    return _apply_gates(np.eye(2**circ.num_qubits, dtype=complex), circ)
+    n = circ.num_qubits
+    if n > MAX_QUBITS // 2:
+        raise SimulationError(
+            f"circuit_unitary needs num_qubits <= {MAX_QUBITS // 2}, got {n}: "
+            f"its matrix would take {16 * 4**n} bytes"
+        )
+    return _apply_gates(np.eye(2**n, dtype=complex), circ)
 
 
 def _subset(num_qubits: int, qubits: Iterable[int] | None) -> tuple[int, ...]:
@@ -806,16 +816,57 @@ def _bitstring(outcome: int, marg: np.ndarray) -> str:
     return format(int(outcome), f"0{marg.size.bit_length() - 1}b")
 
 
+class ExactDistribution(Mapping):
+    """A read-only mapping from bitstring (qubits[0] rightmost) to Born
+    probability, zero outcomes left out, keys in increasing outcome order:
+    the dict ``{bits: float(p)}`` of the marginal, with its ``repr`` and
+    its ``==``, held as the marginal itself.
+
+    ``marginal`` is the read-only float64 array over every outcome and
+    ``outcomes`` the increasing indices of its nonzero entries, both set
+    at construction and never changed.  Keys are rendered only when the
+    mapping is iterated; a lookup parses its one key, so a key of the
+    wrong width, with a character other than 0 or 1, or not a string at
+    all is missing, as it is from the dict.
+    """
+
+    __slots__ = ("marginal", "outcomes")
+
+    def __init__(self, marg: np.ndarray):
+        marg.setflags(write=False)
+        self.marginal = marg
+        self.outcomes = np.flatnonzero(marg > 0.0)
+        self.outcomes.setflags(write=False)
+
+    def __getitem__(self, bits) -> float:
+        hash(bits)  # an unhashable key is a TypeError, as in a dict
+        width = self.marginal.size.bit_length() - 1
+        if isinstance(bits, str) and len(bits) == width and not bits.strip("01"):
+            p = self.marginal[int(bits, 2)]
+            if p > 0.0:
+                return float(p)
+        raise KeyError(bits)
+
+    def __iter__(self) -> Iterator[str]:
+        return (_bitstring(m, self.marginal) for m in self.outcomes)
+
+    def __len__(self) -> int:
+        return self.outcomes.size
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 def exact_distribution(
     state: StateVector, qubits: Iterable[int] | None = None
-) -> dict[str, float]:
-    """Marginal Born probabilities over the given qubits (default: all).
+) -> ExactDistribution:
+    """Marginal Born probabilities over the given qubits (default: all),
+    as a read-only ``ExactDistribution`` on the marginal array.
 
     Keys are bitstrings with qubits[0] rightmost; zero-probability
     outcomes are omitted.
     """
-    marg = _marginal(state.amps, state.num_qubits, qubits)
-    return {_bitstring(m, marg): float(p) for m, p in enumerate(marg) if p > 0.0}
+    return ExactDistribution(_marginal(state.amps, state.num_qubits, qubits))
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,52 @@ def reference_sample_counts(state, shots: int, seed: int, qubits=None) -> dict[s
     return reference_tally(marg, fresh_uniforms(seed, shots))
 
 
+def reference_exact_distribution(state, qubits=None) -> dict[str, float]:
+    """The dict ``statevector.exact_distribution`` stands for: every
+    nonzero outcome's bitstring, in increasing order, to its probability."""
+    marg = _marginal(state.amps, state.num_qubits, qubits)
+    return {_bitstring(m, marg): float(p) for m, p in enumerate(marg) if p > 0.0}
+
+
+def reference_folded(outcomes: dict[str, float], n: int) -> np.ndarray:
+    """Register outcomes parsed back from their bitstrings and folded onto
+    the 2^(n-1)+1 grid points, each adding its outcomes in key order."""
+    ys = np.array([int(bits, 2) for bits in outcomes], dtype=np.intp)
+    weights = np.fromiter(outcomes.values(), dtype=float, count=len(outcomes))
+    return np.bincount(np.minimum(ys, 2**n - ys), weights, minlength=2 ** (n - 1) + 1)
+
+
+def mp_folded_distribution(policy, params, n: int) -> list:
+    """The folded phase-estimation distribution evaluated with mpmath at 40
+    digits, from the float angles the circuit is built with.
+
+    Brassard, Hoyer, Mosca and Tapp (2002, arXiv:quant-ph/0005055, Thm.
+    11): with M = 2^n and phi = arcsin(sqrt(a)) / pi for the policy value
+    a, outcome y has probability (F(y/M - phi) + F(y/M + phi)) / 2, where
+    F(d) = sin^2(M pi d) / (M^2 sin^2(pi d)), and F = 1 where sin(pi d) =
+    0.  Outcomes y and M - y share the grid point min(y, M - y).
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        mpf, pi, sin = mpmath.mpf, mpmath.pi, mpmath.sin
+        p_left = mpmath.cos(mpf(policy.theta_policy) / 2) ** 2
+        a = p_left * sin(mpf(params.theta_left) / 2) ** 2 + (1 - p_left) * sin(
+            mpf(params.theta_right) / 2
+        ) ** 2
+        phi = mpmath.asin(mpmath.sqrt(a)) / pi
+        m = 2**n
+
+        def fejer(d):
+            s = sin(pi * d)
+            return mpf(1) if s == 0 else sin(m * pi * d) ** 2 / (m * m * s * s)
+
+        folded = [mpf(0)] * (m // 2 + 1)
+        for y in range(m):
+            folded[min(y, m - y)] += (fejer(mpf(y) / m - phi) + fejer(mpf(y) / m + phi)) / 2
+        return folded
+
+
 def reference_dataset(f_left: float, f_right: float, pulls_per_arm: int, seed: int):
     """The oracle for ``training.synthesize_dataset``: each arm's pulls
     are one ``random`` call on a Generator over a new Philox stream."""
