@@ -66,7 +66,9 @@ def angle_from_frequency(f: float) -> float:
 
 
 def reward_probability(theta: float) -> float:
-    """Winning probability of an arm with rotation angle ``theta``: sin^2(theta/2)."""
+    """Winning probability of an arm with rotation angle ``theta``: sin^2(theta/2).
+    An angle that is not a finite float is refused, naming ``theta``."""
+    check_real("theta", theta)
     return math.sin(theta / 2.0) ** 2
 
 

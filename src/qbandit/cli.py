@@ -50,8 +50,9 @@ from .training import (
 # goes up with each change that moves an output file's bytes on purpose:
 # 1 is every output before manifests recorded it; 2 moved the last digits
 # of ideal ``exact_prob`` cells, when the ideal simulator began applying a
-# repeated gate segment as one matrix power.
-OUTPUT_VERSION = 2
+# repeated gate segment as one matrix power; 3 moved them again, when it
+# began applying phase estimation's inverse QFT as one FFT.
+OUTPUT_VERSION = 3
 
 
 class ConfigError(ValueError):

@@ -12,8 +12,10 @@ Conventions used throughout the package:
 Each gate resolves its matrix once, when it is constructed, and every
 amplitude update (ideal circuits, noisy trajectories and
 ``circuit_unitary``) goes through one kernel, ``_apply_matrix``, which
-takes one state or a batch of states held as columns.  The marginal and
-the sampler take a batch too, one state and one uniform per column.
+takes one state or a batch of states held as columns; the one other is
+the ideal plan's FFT for phase estimation's inverse QFT, below.  The
+marginal and the sampler take a batch too, one state and one uniform per
+column.
 
 The ideal paths (``apply_circuit``, ``Circuit.final_state`` and
 ``circuit_unitary``) run a circuit's step plan, ``Circuit.steps``, made
@@ -28,8 +30,13 @@ does, gives the circuit its runs, ``(segment, copies)`` pairs, and only
 their single copies are scanned.  Segments with the same local matrix
 under different qubits share it, built once, and one chain of its
 squarings: the 2^k-th power is the k-th squaring, the product
-``np.linalg.matrix_power`` makes.  Noisy trajectories put errors after
-each gate and run the gates themselves.
+``np.linalg.matrix_power`` makes.  The inverse QFT ladder that phase
+estimation builds and caches per register is marked
+(``_mark_inverse_qft``), and a plan that meets that very tuple of gate
+objects runs it as one orthonormal FFT along the register's axis of the
+amplitudes (``_Fourier``); an equal ladder built afresh runs gate by
+gate.  Noisy trajectories put errors after each gate and run the gates
+themselves.
 
 A gate whose matrix is a permutation with unit phases (every nonzero
 entry exactly 1, -1, i or -i: X, SWAP, Z and their controlled forms,
@@ -67,7 +74,7 @@ import numbers
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -484,19 +491,21 @@ class Circuit:
         return len(self.gates)
 
     @functools.cached_property
-    def steps(self) -> tuple[Gate | _Step, ...]:
+    def steps(self) -> tuple[Gate | _Step | _Fourier, ...]:
         """The kernel calls that simulate this circuit, planned on first
         use: ``gates`` itself when nothing folds.
 
-        A flat gate list is scanned for its repeats (``_plan``).  A
-        circuit given by runs is not: each run of two or more copies is
-        one power step (``_repeat_steps``), and only the single-copy runs
-        are scanned, so the plan is the one ``_plan(gates)`` makes.  Runs
-        whose segments have the same local matrix share it and one chain
-        of its squarings."""
+        A flat gate list is scanned for its repeats and for marked inverse
+        QFT ladders (``_plan``).  A circuit given by runs is not: each run
+        of two or more copies is one power step (``_repeat_steps``), and
+        only the single-copy runs are scanned, so a phase-estimation
+        circuit's plan is the one ``_plan(gates)`` makes: its inverse QFT,
+        a single-copy run, is one FFT step either way.  Runs whose
+        segments have the same local matrix share it and one chain of its
+        squarings."""
         if self.runs is None:
             return _plan(self.gates)
-        steps: list[Gate | _Step] = []
+        steps: list[Gate | _Step | _Fourier] = []
         chains: dict[tuple, list[np.ndarray]] = {}
         for segment, copies in self.runs:
             steps.extend(_plan(segment) if copies == 1 else _repeat_steps(segment, copies, chains))
@@ -620,10 +629,52 @@ def apply_circuit(state: StateVector, circ: Circuit) -> StateVector:
 
 
 def _apply_gates(amps: np.ndarray, circ: Circuit) -> np.ndarray:
-    """Every step of ``circ.steps`` in order, in place on one state or a batch."""
+    """Every step of ``circ.steps`` in order, in place on one state or a
+    batch, which must be C-contiguous."""
     for step in circ.steps:
-        _apply_matrix(amps, circ.num_qubits, step.matrix, step.targets, step.controls, step.moves)
+        if type(step) is _Fourier:
+            _apply_fourier(amps, circ.num_qubits, step)
+        else:
+            _apply_matrix(amps, circ.num_qubits, step.matrix, step.targets, step.controls, step.moves)
     return amps
+
+
+class _Fourier(NamedTuple):
+    """One step for an inverse QFT ladder that ``_mark_inverse_qft`` has
+    marked: the transform on the ``width`` qubits from ``first`` on."""
+
+    first: int
+    width: int
+
+
+def _apply_fourier(amps: np.ndarray, num_qubits: int, step: _Fourier) -> None:
+    """The inverse QFT of ``step`` in place on one state or a batch, as
+    one orthonormal FFT.  Viewed as (higher qubits, register, lower
+    qubits, columns), the amplitudes' register axis holds its integer y
+    (bit j on qubit first + j), which goes to sum_x exp(-2 pi i x y /
+    2^width) |x> / sqrt(2^width): numpy's forward FFT."""
+    view = amps.reshape(2 ** (num_qubits - step.first - step.width), 2**step.width, 2**step.first, -1)
+    view[...] = np.fft.fft(view, axis=1, norm="ortho")
+
+
+# id of a marked ladder's first gate -> the ladder and its step.  Holding
+# the ladder keeps that id from being reused.
+_FOURIER: dict[int, tuple[tuple[Gate, ...], _Fourier]] = {}
+
+
+def _mark_inverse_qft(ladder: tuple[Gate, ...], qubits: Sequence[int]) -> tuple[Gate, ...]:
+    """Mark ``ladder``, the inverse QFT's gates on the consecutive
+    increasing ``qubits`` (qubits[j] holding bit j), so that a step plan
+    meeting this very tuple runs it as one ``_Fourier`` step; returns
+    ``ladder``.  The caller vouches that the gates are that transform.
+    A register narrower than 2 qubits is not marked: its ladder is one
+    Hadamard."""
+    first, width = qubits[0], len(qubits)
+    if tuple(qubits) != tuple(range(first, first + width)):
+        raise SimulationError(f"an inverse QFT step needs consecutive increasing qubits, got {tuple(qubits)}")
+    if width >= 2:
+        _FOURIER[id(ladder[0])] = (ladder, _Fourier(first, width))
+    return ladder
 
 
 class _Step(NamedTuple):
@@ -641,19 +692,22 @@ class _Step(NamedTuple):
 _FOLD_QUBITS = 3
 
 
-def _plan(gates: tuple[Gate, ...]) -> tuple[Gate | _Step, ...]:
+def _plan(gates: tuple[Gate, ...]) -> tuple[Gate | _Step | _Fourier, ...]:
     """``gates`` as kernel calls: a segment of p >= 2 gate objects repeated
-    m >= 2 times back to back is folded by ``_repeat_steps``; every other
-    gate is its own step.
+    m >= 2 times back to back is folded by ``_repeat_steps``, a marked
+    inverse QFT ladder (``_mark_inverse_qft``) is one ``_Fourier`` step,
+    and every other gate is its own step.
 
     The scan notes where it last saw each object, by identity.  Meeting
     one again p >= 2 gates on, it compares the p gates before with those
     that follow as tuple slices, which match identical objects at C speed
     (an equal object, being the same gate, matches too), and then counts
-    the further copies a slice at a time."""
-    if len(gates) < 4:  # a fold takes p * m >= 4 gates
+    the further copies a slice at a time.  Meeting the first gate object
+    of a marked ladder, it compares the ladder with the gates from there
+    in the same way."""
+    if len(gates) < 4:  # a fold takes p * m >= 4 gates, a marked ladder 4
         return gates
-    steps: list[Gate | _Step] = []
+    steps: list[Gate | _Step | _Fourier] = []
     seen: dict[int, int] = {}
     chains: dict[tuple, list[np.ndarray]] = {}
     i = 0
@@ -662,9 +716,15 @@ def _plan(gates: tuple[Gate, ...]) -> tuple[Gate | _Step, ...]:
         j = seen.get(key, i)
         p = i - j
         if p < 2 or gates[i : i + p] != gates[j:i]:
-            seen[key] = i
-            steps.append(gates[i])
-            i += 1
+            ladder, fourier = _FOURIER.get(key, ((), None))
+            if ladder and gates[i : i + len(ladder)] == ladder:
+                steps.append(fourier)
+                seen.clear()  # as after a fold
+                i += len(ladder)
+            else:
+                seen[key] = i
+                steps.append(gates[i])
+                i += 1
             continue
         segment = gates[j:i]
         m = 2

@@ -9,6 +9,8 @@ from qbandit.bandit import Arm
 from qbandit.noise import _PAULIS
 from qbandit.statevector import (
     Circuit,
+    Gate,
+    _Fourier,
     _apply_matrix,
     _bitstring,
     _draw,
@@ -50,13 +52,30 @@ def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator) ->
     return Circuit(num_qubits, tuple(gates))
 
 
-def gate_by_gate(circ: Circuit) -> np.ndarray:
-    """The amplitudes ``circ`` makes from |0...0>, one ``_apply_matrix``
-    per gate in order: the oracle for ``Circuit.steps``."""
-    amps = new_state(circ.num_qubits).amps
+def gate_by_gate(circ: Circuit, amps: np.ndarray | None = None) -> np.ndarray:
+    """The amplitudes ``circ`` makes from |0...0>, or from a copy of
+    ``amps`` (one state or a batch of columns), one ``_apply_matrix`` per
+    gate in order: the oracle for ``Circuit.steps``."""
+    amps = new_state(circ.num_qubits).amps if amps is None else np.array(amps, dtype=complex)
     for gate in circ.gates:
         _apply_matrix(amps, circ.num_qubits, gate.matrix, gate.targets, gate.controls, gate.moves)
     return amps
+
+
+def assert_same_steps(got, want):
+    """Two step plans are the same: the same gate objects, equal FFT
+    steps, and power steps with read-only matrices of the same bytes on
+    the same qubits."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, Gate):
+            assert a is b
+        elif isinstance(b, _Fourier):
+            assert type(a) is _Fourier and a == b
+        else:
+            assert np.array_equal(a.matrix, b.matrix) and a.matrix.tobytes() == b.matrix.tobytes()
+            assert not a.matrix.flags.writeable
+            assert (a.targets, a.controls, a.moves) == (b.targets, b.controls, b.moves)
 
 
 def reference_trajectory(circ: Circuit, config, seed: int, qubits=None) -> str:

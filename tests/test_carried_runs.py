@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_same_steps
 from qbandit import statevector
 from qbandit.bandit import BanditParams, PolicySpec
 from qbandit.qpe import build_grover_operator, build_qpe_circuit, build_state_prep
@@ -18,6 +19,7 @@ from qbandit.statevector import (
     _apply_matrix,
     _moves,
     _plan,
+    _Step,
     h,
     phase,
     ry,
@@ -46,17 +48,6 @@ def power_reference(segment, m):
     return np.linalg.matrix_power(matrix, m), tuple(qubits)
 
 
-def assert_same_steps(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        if isinstance(b, Gate):
-            assert a is b
-        else:
-            assert np.array_equal(a.matrix, b.matrix) and a.matrix.tobytes() == b.matrix.tobytes()
-            assert not a.matrix.flags.writeable
-            assert (a.targets, a.controls, a.moves) == (b.targets, b.controls, b.moves)
-
-
 @settings(max_examples=30, deadline=None)
 @given(p_left=st.floats(0.0, 1.0), theta_left=ANGLE, theta_right=ANGLE, n=st.integers(1, 12))
 @example(p_left=0.3, theta_left=1.1, theta_right=1.1, n=10)  # the preparation folds too
@@ -67,7 +58,7 @@ def test_carried_runs_plan_as_the_scan_does(p_left, theta_left, theta_right, n):
     assert_same_steps(circ.steps, _plan(circ.gates))
     assert circ.final_state.amps.tobytes() == flat.final_state.amps.tobytes()
     # Each power step has matrix_power's bits, independently of the chain.
-    folded = [s for s in circ.steps if not isinstance(s, Gate)]
+    folded = [s for s in circ.steps if isinstance(s, _Step)]
     powers = [(segment, copies) for segment, copies in circ.runs if copies > 1]
     for step, (segment, copies) in zip(folded[len(folded) - len(powers) :], powers):
         matrix, qubits = power_reference(segment, copies)
@@ -129,7 +120,7 @@ def test_only_the_single_copy_runs_are_scanned(monkeypatch):
     q_op = q_operator(0.3, 1.1, 2.2)
     circ = build_qpe_circuit(q_op, 10)
     scans = counter(monkeypatch, statevector, "_plan")
-    assert len(circ.steps) == 101
+    assert len(circ.steps) == 42
     singles = [segment for segment, copies in circ.runs if copies == 1]
     # Preparation and Hadamards, the k = 0 copy of controlled Q, the inverse QFT.
     assert [args[0] for args in scans] == singles

@@ -53,22 +53,27 @@ def two_pass(p_left, theta_left, theta_right, config, oracle):
 @pytest.mark.parametrize("n", [3, 6, 10])
 def test_ideal_run_qpe_applies_each_gate_once(monkeypatch, n):
     """One pass over the register, one kernel call per planned step.  The
-    2^k copies of controlled Q fold into one step each, so n = 10's
-    17,466 gates take about 100 calls."""
+    2^k copies of controlled Q fold into one step each and the inverse
+    QFT is one FFT, so n = 10's 17,466 gates take 42 calls."""
     calls = []
-    kernel = statevector._apply_matrix
 
-    def counting(amps, num_qubits, *args):
-        # Folding a segment runs the kernel on its few qubits alone.
-        calls.append(num_qubits == n + 2)
-        return kernel(amps, num_qubits, *args)
+    def counting(name):
+        kernel = getattr(statevector, name)
 
-    monkeypatch.setattr(statevector, "_apply_matrix", counting)
+        def count(amps, num_qubits, *args):
+            # Folding a segment runs the kernel on its few qubits alone.
+            calls.append(num_qubits == n + 2)
+            return kernel(amps, num_qubits, *args)
+
+        monkeypatch.setattr(statevector, name, count)
+
+    counting("_apply_matrix")
+    counting("_apply_fourier")
     run_qpe(PolicySpec(0.3), BanditParams(1.1, 2.2), QpeConfig(n=n, shots=50), IdealBackend())
     circ = qpe_circuit(0.3, 1.1, 2.2, n)
     assert sum(calls) == len(circ.steps) < len(circ)
     if n == 10:
-        assert len(circ) == 17_466 and sum(calls) <= 101
+        assert len(circ) == 17_466 and sum(calls) == 42
 
 
 ANGLE = st.floats(0.0, np.pi)

@@ -79,6 +79,18 @@ PINS = {
         },
     },
 }
+# Version 3 moved the same cells again, when the ideal simulator began
+# applying phase estimation's inverse QFT as one FFT.
+PINS[3] = {
+    **PINS[2],
+    "qpe-histograms": {
+        **PINS[2]["qpe-histograms"],
+        "qpe_pleft0.5_n3_ideal.csv": "ba81293186d25f041b963209bfb2a819262e6cdd3d52f14724c9646f68cdc36b",
+        "qpe_pleft0.5_n4_ideal.csv": "62c1b3d85950e58a1bf64d0ebb24e30a4c1941ff6823705cf3b8a5946de232aa",
+        "qpe_pleft0_n3_ideal.csv": "57a856a4d1201d59783742ea53c7d96d31613ec7eadab9852fb1c17d4d9fc2af",
+        "qpe_pleft0_n4_ideal.csv": "f8d8f3b1e48200384933ea6ff3df0d354a4ffb2284d1192e0451def7e3295d29",
+    },
+}
 FIGURES = PINS[OUTPUT_VERSION]
 
 DEMO_STDOUT = {

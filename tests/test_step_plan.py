@@ -27,7 +27,7 @@ from qbandit.qpe import (
     qft_gates,
     run_qpe,
 )
-from qbandit.statevector import Circuit, Gate, exact_distribution, h, x
+from qbandit.statevector import Circuit, Gate, _Fourier, _Step, exact_distribution, h, x
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from bench.oracle import folded_distribution  # noqa: E402
@@ -110,11 +110,13 @@ def test_circuits_without_a_repeated_segment_plan_their_own_gates():
 
 def test_each_controlled_power_of_q_is_one_step():
     circ = qpe_circuit(0.3, 1.1, 2.2, 10)
-    folded = [s for s in circ.steps if not isinstance(s, Gate)]
-    assert len(circ) == 17_466 and len(circ.steps) == 101
+    folded = [s for s in circ.steps if isinstance(s, _Step)]
+    assert len(circ) == 17_466 and len(circ.steps) == 42
     # k = 1 .. 9: Q's 16 gates and the control's Phase(pi), 2^k times.
     assert [s.targets for s in folded] == [(0, 1, 2 + k) for k in range(1, 10)]
     assert all(s.matrix.shape == (8, 8) and not s.matrix.flags.writeable for s in folded)
+    # The inverse QFT's 60 gates: one FFT on the evaluation register.
+    assert circ.steps[-1] == _Fourier(2, 10)
 
 
 def test_a_noisy_trajectory_applies_every_gate(monkeypatch):

@@ -9,12 +9,17 @@ working tree with this interpreter (PYTHONPATH=<tree>/src), and compares
 every output file, manifests included, and each demo's standard output
 byte for byte.  Prints each path that differs or exists on one side only
 (a demo as `demos/<name>.py:stdout`), and exits 1 if there is any, 0
-otherwise.  Exits 2, before running anything, on a usage error or a
-BASE_REV that names no commit.
+otherwise.  Under a differing CSV of the same shape on both sides, it
+prints how many cells differ and the largest absolute difference between
+two cells that read as numbers.  Exits 2, before running anything, on a
+usage error or a BASE_REV that names no commit.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
@@ -57,6 +62,25 @@ def demos(tree: Path, cwd: Path) -> dict[str, bytes]:
     }
 
 
+def cell_differences(base: bytes, work: bytes) -> tuple[int, int, float] | None:
+    """``(differing, cells, largest)`` for two CSVs of the same shape: how
+    many cells differ, of how many, and the largest absolute difference
+    between two differing cells that both read as floats (NaN if none
+    do).  None when the shapes differ."""
+    tables = [list(csv.reader(io.StringIO(data.decode()))) for data in (base, work)]
+    if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
+        return None
+    pairs = [cell for rows in zip(*tables) for cell in zip(*rows)]
+    differing = [(a, b) for a, b in pairs if a != b]
+    gaps = []
+    for a, b in differing:
+        try:
+            gaps.append(abs(float(a) - float(b)))
+        except ValueError:
+            pass
+    return len(differing), len(pairs), max(gaps, default=math.nan)
+
+
 def files(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -84,6 +108,10 @@ def main(argv: list[str]) -> int:
     differing = sorted(p for p in base.keys() | work.keys() if base.get(p) != work.get(p))
     for path in differing:
         print(path)
+        if path.endswith(".csv") and path in base and path in work:
+            cells = cell_differences(base[path], work[path])
+            if cells is not None:
+                print(f"  {cells[0]} of {cells[1]} cells differ, largest absolute difference {cells[2]:.2g}")
     print(f"{len(differing)} of {len(base.keys() | work.keys())} outputs differ from {argv[0]}")
     return 1 if differing else 0
 
