@@ -34,7 +34,7 @@ from .statevector import (
     Circuit,
     ExactDistribution,
     Gate,
-    _mark_inverse_qft,
+    _InverseQft,
     check_number,
     check_real,
     check_seed,
@@ -146,14 +146,16 @@ def build_qpe_circuit(q_op: GroverOperator, n: int) -> Circuit:
     evaluation qubit k realized as 2^k repetitions of Q's gate list,
     then the inverse Fourier transform on the evaluation register.
 
-    The circuit is given by its runs: the 2^k copies are one run of the
-    same gate objects, so the noisy backend puts errors after every gate
-    of every copy, while the ideal simulator's step plan
-    (``Circuit.steps``) applies each controlled Q^(2^k) with k >= 1 as one
-    8 x 8 matrix, with no scan of the gates, and for n >= 2 the cached
-    inverse QFT as one FFT: 42 kernel calls for the 17,466 gates at
-    n = 10.  Controlled Q has the same local matrix under every control,
-    so it is built once, and each power is one more squaring of the last.
+    The circuit declares its structure as runs: the 2^k copies are one
+    run of the same gate objects, so the noisy backend puts errors after
+    every gate of every copy, while the ideal simulator's step plan
+    (``Circuit.steps``), read off the runs with no scan of the gates,
+    applies each controlled Q^(2^k) with k >= 1 as one 8 x 8 matrix and,
+    for n >= 2, the inverse QFT run, an ``_InverseQft``, as one FFT: 42
+    kernel calls for the 17,466 gates at n = 10.  Controlled Q has the
+    same local matrix under every control, so it is built once, and each
+    power is one more squaring of the last.  The same gates as a flat
+    list run gate by gate.
     """
     check_number("n", n, low=1, high=MAX_EVAL_QUBITS)
     register = eval_qubits(n)
@@ -166,30 +168,34 @@ def build_qpe_circuit(q_op: GroverOperator, n: int) -> Circuit:
 @functools.lru_cache(maxsize=MAX_EVAL_QUBITS)
 def _inverse_qft(n: int) -> tuple[Gate, ...]:
     """``inverse_qft_gates`` on the n-qubit evaluation register, built
-    once: gates are immutable, so every circuit can share them.  The
-    tuple is marked, so the ideal step plan runs it as one FFT."""
+    once: gates are immutable, so every circuit can share them.  It is an
+    ``_InverseQft``, so a run of it says what it is, and the ideal step
+    plan runs it as one FFT."""
     register = eval_qubits(n)
-    return _mark_inverse_qft(tuple(inverse_qft_gates(register)), register)
+    return _InverseQft(inverse_qft_gates(register), register)
 
 
 def outcome_to_value(y: int, n: int) -> float:
-    """Estimate encoded by register outcome y: sin^2(pi * y / 2^n)."""
+    """Estimate encoded by register outcome y: sin^2(pi * y / 2^n), for a
+    width n in [1, MAX_EVAL_QUBITS]."""
+    check_number("n", n, low=1, high=MAX_EVAL_QUBITS)
     check_number("y", y, low=0, high=2**n - 1)
     return math.sin(math.pi * y / 2**n) ** 2
 
 
 def fold_outcome(y: int, n: int) -> int:
     """Canonical representative of the aliased pair {y, 2^n - y}, for a
-    register outcome y in [0, 2^n - 1] and a width n >= 1."""
-    check_number("n", n, low=1)
+    register outcome y in [0, 2^n - 1] and a width n in [1,
+    MAX_EVAL_QUBITS]."""
+    check_number("n", n, low=1, high=MAX_EVAL_QUBITS)
     check_number("y", y, low=0, high=2**n - 1)
     return min(y, 2**n - y)
 
 
 def value_grid(n: int) -> list[float]:
     """The 2^(n-1) + 1 distinct estimates reachable with an n-qubit
-    evaluation register, sorted ascending."""
-    check_number("n", n, low=1)
+    evaluation register, sorted ascending, for n in [1, MAX_EVAL_QUBITS]."""
+    check_number("n", n, low=1, high=MAX_EVAL_QUBITS)
     return [outcome_to_value(y, n) for y in range(2 ** (n - 1) + 1)]
 
 

@@ -19,24 +19,21 @@ column.
 
 The ideal paths (``apply_circuit``, ``Circuit.final_state`` and
 ``circuit_unitary``) run a circuit's step plan, ``Circuit.steps``, made
-once per circuit object: a segment of gate objects repeated back to back
-on at most three qubits, such as the 2^k copies of a controlled Grover
-operator in phase estimation, is one kernel call with the segment's
-matrix raised to the number of copies by repeated squaring.  Every other
-gate is its own step, with its own matrix, so a circuit with no such
-segment gives the same bits as a gate-by-gate loop.  A flat gate list is
-scanned for its repeats; a builder that knows them, as phase estimation
-does, gives the circuit its runs, ``(segment, copies)`` pairs, and only
-their single copies are scanned.  Segments with the same local matrix
-under different qubits share it, built once, and one chain of its
-squarings: the 2^k-th power is the k-th squaring, the product
-``np.linalg.matrix_power`` makes.  The inverse QFT ladder that phase
-estimation builds and caches per register is marked
-(``_mark_inverse_qft``), and a plan that meets that very tuple of gate
-objects runs it as one orthonormal FFT along the register's axis of the
-amplitudes (``_Fourier``); an equal ladder built afresh runs gate by
-gate.  Noisy trajectories put errors after each gate and run the gates
-themselves.
+once per circuit object from the structure its builder declares.  A
+circuit given as a flat gate list runs gate by gate, with the same bits
+as a gate-by-gate loop.  A builder that knows its structure, as phase
+estimation does, gives the circuit its runs, ``(segment, copies)``
+pairs.  A run of two or more copies of a segment on at most three
+qubits, such as the 2^k copies of a controlled Grover operator, is one
+kernel call with the segment's matrix raised to the number of copies by
+repeated squaring.  Segments with the same local matrix under different
+qubits share it, built once, and one chain of its squarings: the 2^k-th
+power is the k-th squaring, the product ``np.linalg.matrix_power``
+makes.  A segment built as an ``_InverseQft``, as phase estimation builds
+its inverse QFT, runs as one orthonormal FFT along the register's axis
+of the amplitudes (``_Fourier``).  Every other gate is its own step, with
+its own matrix.  Noisy trajectories put errors after each gate and run
+the gates themselves.
 
 A gate whose matrix is a permutation with unit phases (every nonzero
 entry exactly 1, -1, i or -i: X, SWAP, Z and their controlled forms,
@@ -452,11 +449,13 @@ def _check_width(n) -> None:
 class Circuit:
     """Ordered gate list on a fixed-width qubit register.
 
-    A builder that knows where its gates repeat gives ``runs`` instead of
-    ``gates``: ``(segment, copies)`` pairs, each a sequence of gates
-    applied ``copies`` times back to back, held as tuples.  ``gates`` is
-    then their flat list, and the runs only spare ``steps`` its scan; they
-    take no part in equality.
+    A builder declares its circuit's structure by giving ``runs`` instead
+    of ``gates``: ``(segment, copies)`` pairs, each a sequence of gates
+    applied ``copies`` times back to back, held as tuples (an
+    ``_InverseQft`` segment stays one).  ``gates`` is then their flat
+    list, and the runs shape only ``steps``; they take no part in
+    equality.  A circuit given by ``gates`` has no structure to use, and
+    its plan is its gates.
     """
 
     num_qubits: int
@@ -474,7 +473,7 @@ class Circuit:
             runs = []
             for segment, copies in self.runs:
                 check_number("copies", copies, low=1)
-                runs.append((tuple(segment), int(copies)))
+                runs.append((segment if isinstance(segment, tuple) else tuple(segment), int(copies)))
             object.__setattr__(self, "runs", tuple(runs))
             object.__setattr__(self, "gates", sum((segment * copies for segment, copies in runs), ()))
             distinct = (g for segment, _ in runs for g in segment)
@@ -493,22 +492,24 @@ class Circuit:
     @functools.cached_property
     def steps(self) -> tuple[Gate | _Step | _Fourier, ...]:
         """The kernel calls that simulate this circuit, planned on first
-        use: ``gates`` itself when nothing folds.
+        use: ``gates`` itself when nothing folds, as for every circuit
+        given by ``gates``.
 
-        A flat gate list is scanned for its repeats and for marked inverse
-        QFT ladders (``_plan``).  A circuit given by runs is not: each run
-        of two or more copies is one power step (``_repeat_steps``), and
-        only the single-copy runs are scanned, so a phase-estimation
-        circuit's plan is the one ``_plan(gates)`` makes: its inverse QFT,
-        a single-copy run, is one FFT step either way.  Runs whose
-        segments have the same local matrix share it and one chain of its
-        squarings."""
+        A circuit given by runs takes its plan from them, with no scan:
+        each run of two or more copies is one power step
+        (``_repeat_steps``), an ``_InverseQft`` segment of two or more
+        qubits is one FFT step per copy, and every other run's gates are
+        their own steps.  Runs whose segments have the same local matrix
+        share it and one chain of its squarings."""
         if self.runs is None:
-            return _plan(self.gates)
+            return self.gates
         steps: list[Gate | _Step | _Fourier] = []
         chains: dict[tuple, list[np.ndarray]] = {}
         for segment, copies in self.runs:
-            steps.extend(_plan(segment) if copies == 1 else _repeat_steps(segment, copies, chains))
+            if isinstance(segment, _InverseQft) and segment.fourier:
+                steps += [segment.fourier] * copies
+            else:
+                steps += segment if copies == 1 else _repeat_steps(segment, copies, chains)
         return self.gates if len(steps) == len(self.gates) else tuple(steps)
 
     @functools.cached_property
@@ -640,8 +641,8 @@ def _apply_gates(amps: np.ndarray, circ: Circuit) -> np.ndarray:
 
 
 class _Fourier(NamedTuple):
-    """One step for an inverse QFT ladder that ``_mark_inverse_qft`` has
-    marked: the transform on the ``width`` qubits from ``first`` on."""
+    """One step for the gates of an ``_InverseQft``: the transform on the
+    ``width`` qubits from ``first`` on."""
 
     first: int
     width: int
@@ -657,24 +658,23 @@ def _apply_fourier(amps: np.ndarray, num_qubits: int, step: _Fourier) -> None:
     view[...] = np.fft.fft(view, axis=1, norm="ortho")
 
 
-# id of a marked ladder's first gate -> the ladder and its step.  Holding
-# the ladder keeps that id from being reused.
-_FOURIER: dict[int, tuple[tuple[Gate, ...], _Fourier]] = {}
+class _InverseQft(tuple):
+    """The gates of an inverse QFT on the consecutive increasing ``qubits``
+    (qubits[j] holding bit j), as a tuple that carries its plan step:
+    each copy of a run of this segment is one ``_Fourier`` step, its
+    ``fourier``.  The builder vouches that the gates are that transform.
+    A register narrower than 2 qubits gets no step (``fourier`` is None),
+    since its transform is one Hadamard.  Anywhere else, in a flat gate
+    list or sliced or joined into a plain tuple, the gates run one by
+    one."""
 
-
-def _mark_inverse_qft(ladder: tuple[Gate, ...], qubits: Sequence[int]) -> tuple[Gate, ...]:
-    """Mark ``ladder``, the inverse QFT's gates on the consecutive
-    increasing ``qubits`` (qubits[j] holding bit j), so that a step plan
-    meeting this very tuple runs it as one ``_Fourier`` step; returns
-    ``ladder``.  The caller vouches that the gates are that transform.
-    A register narrower than 2 qubits is not marked: its ladder is one
-    Hadamard."""
-    first, width = qubits[0], len(qubits)
-    if tuple(qubits) != tuple(range(first, first + width)):
-        raise SimulationError(f"an inverse QFT step needs consecutive increasing qubits, got {tuple(qubits)}")
-    if width >= 2:
-        _FOURIER[id(ladder[0])] = (ladder, _Fourier(first, width))
-    return ladder
+    def __new__(cls, gates: Iterable[Gate], qubits: Sequence[int]) -> _InverseQft:
+        first, width = qubits[0], len(qubits)
+        if tuple(qubits) != tuple(range(first, first + width)):
+            raise SimulationError(f"an inverse QFT step needs consecutive increasing qubits, got {tuple(qubits)}")
+        self = super().__new__(cls, gates)
+        self.fourier = _Fourier(first, width) if width >= 2 else None
+        return self
 
 
 class _Step(NamedTuple):
@@ -690,51 +690,6 @@ class _Step(NamedTuple):
 # A folded run may touch at most this many qubits, UNITARY's limit: its
 # matrix is at most 8 x 8.
 _FOLD_QUBITS = 3
-
-
-def _plan(gates: tuple[Gate, ...]) -> tuple[Gate | _Step | _Fourier, ...]:
-    """``gates`` as kernel calls: a segment of p >= 2 gate objects repeated
-    m >= 2 times back to back is folded by ``_repeat_steps``, a marked
-    inverse QFT ladder (``_mark_inverse_qft``) is one ``_Fourier`` step,
-    and every other gate is its own step.
-
-    The scan notes where it last saw each object, by identity.  Meeting
-    one again p >= 2 gates on, it compares the p gates before with those
-    that follow as tuple slices, which match identical objects at C speed
-    (an equal object, being the same gate, matches too), and then counts
-    the further copies a slice at a time.  Meeting the first gate object
-    of a marked ladder, it compares the ladder with the gates from there
-    in the same way."""
-    if len(gates) < 4:  # a fold takes p * m >= 4 gates, a marked ladder 4
-        return gates
-    steps: list[Gate | _Step | _Fourier] = []
-    seen: dict[int, int] = {}
-    chains: dict[tuple, list[np.ndarray]] = {}
-    i = 0
-    while i < len(gates):
-        key = id(gates[i])
-        j = seen.get(key, i)
-        p = i - j
-        if p < 2 or gates[i : i + p] != gates[j:i]:
-            ladder, fourier = _FOURIER.get(key, ((), None))
-            if ladder and gates[i : i + len(ladder)] == ladder:
-                steps.append(fourier)
-                seen.clear()  # as after a fold
-                i += len(ladder)
-            else:
-                seen[key] = i
-                steps.append(gates[i])
-                i += 1
-            continue
-        segment = gates[j:i]
-        m = 2
-        while gates[j + m * p : j + (m + 1) * p] == segment:
-            m += 1
-        del steps[-p:]  # the first copy, added gate by gate
-        steps.extend(_repeat_steps(segment, m, chains))
-        seen.clear()  # the steps before hold no more single gates to fold
-        i = j + m * p
-    return gates if len(steps) == len(gates) else tuple(steps)
 
 
 def _repeat_steps(

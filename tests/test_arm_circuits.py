@@ -59,8 +59,10 @@ def test_arm_gates_match_the_hand_written_lists(theta_left, theta_right, same):
         assert [described(g) for g in circ.gates] == hand_written(arm, params)
         assert np.abs(circ.final_state.amps - gate_by_gate(circ)).max() < 1e-12
     right = build_arm_circuit(Arm.RIGHT, params)
-    # Equal angles make (X, cRY) repeat back to back: the plan folds it.
-    assert len(right.steps) == (2 if params.theta_left == params.theta_right else 5)
+    # Equal angles make (X, cRY) repeat back to back, but a flat gate list
+    # declares no structure: the plan is its gates, with their bits.
+    assert right.steps is right.gates
+    assert np.array_equal(right.final_state.amps, gate_by_gate(right))
 
 
 def test_the_pair_is_left_then_right():

@@ -1,14 +1,15 @@
-"""QPE circuits carry their repeats as runs.  Their step plan is the one
-the scan of the flat gate list makes, with no scan of the repeated
-copies; every controlled Q^(2^k) is read off one chain of squarings of
-one local matrix; and the build costs O(n) gates, not O(2^n)."""
+"""QPE circuits carry their repeats as runs, and their step plan is read
+off the runs with no scan: the single-copy runs' gates as themselves,
+each controlled Q^(2^k) with k >= 1 as one power step off one chain of
+squarings of one local matrix, and the inverse QFT as one FFT step.
+The build costs O(n) gates, not O(2^n)."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_same_steps
+from helpers import assert_same_steps, gate_by_gate
 from qbandit import statevector
 from qbandit.bandit import BanditParams, PolicySpec
 from qbandit.qpe import build_grover_operator, build_qpe_circuit, build_state_prep
@@ -17,8 +18,8 @@ from qbandit.statevector import (
     Gate,
     SimulationError,
     _apply_matrix,
+    _Fourier,
     _moves,
-    _plan,
     _Step,
     h,
     phase,
@@ -48,21 +49,28 @@ def power_reference(segment, m):
     return np.linalg.matrix_power(matrix, m), tuple(qubits)
 
 
+def power_step(segment, m):
+    matrix, qubits = power_reference(segment, m)
+    return _Step(matrix, qubits, (), _moves(matrix))
+
+
 @settings(max_examples=30, deadline=None)
 @given(p_left=st.floats(0.0, 1.0), theta_left=ANGLE, theta_right=ANGLE, n=st.integers(1, 12))
-@example(p_left=0.3, theta_left=1.1, theta_right=1.1, n=10)  # the preparation folds too
-def test_carried_runs_plan_as_the_scan_does(p_left, theta_left, theta_right, n):
+@example(p_left=0.3, theta_left=1.1, theta_right=1.1, n=10)  # the preparation repeats (X, cRY) too
+def test_carried_runs_plan_as_their_runs_say(p_left, theta_left, theta_right, n):
+    """Each power step has matrix_power's bits, independently of the
+    chain; the gates of the single-copy runs are their own steps, the
+    preparation's too; and the same gates as a flat list run one by one
+    to the same state within 1e-12."""
     circ = build_qpe_circuit(q_operator(p_left, theta_left, theta_right), n)
     flat = Circuit(circ.num_qubits, circ.gates)
-    assert circ == flat and flat.runs is None
-    assert_same_steps(circ.steps, _plan(circ.gates))
-    assert circ.final_state.amps.tobytes() == flat.final_state.amps.tobytes()
-    # Each power step has matrix_power's bits, independently of the chain.
-    folded = [s for s in circ.steps if isinstance(s, _Step)]
-    powers = [(segment, copies) for segment, copies in circ.runs if copies > 1]
-    for step, (segment, copies) in zip(folded[len(folded) - len(powers) :], powers):
-        matrix, qubits = power_reference(segment, copies)
-        assert step.matrix.tobytes() == matrix.tobytes() and step.targets == qubits
+    assert circ == flat and flat.runs is None and flat.steps is flat.gates
+    (prep, _), (first, _), *powers, (ladder, _) = circ.runs
+    want = [*prep, *first, *(power_step(segment, copies) for segment, copies in powers)]
+    want += [_Fourier(2, n)] if n >= 2 else ladder
+    assert_same_steps(circ.steps, want)
+    assert [copies for _, copies in circ.runs] == [1] + [2**k for k in range(n)] + [1]
+    assert np.abs(circ.final_state.amps - flat.final_state.amps).max() < 1e-12
 
 
 def test_a_run_past_the_register_width_is_refused():
@@ -88,15 +96,18 @@ def test_gates_and_runs_together_are_refused():
 @pytest.mark.parametrize("copies", [2, 3, 5, 8, 12])
 def test_any_number_of_copies_matches_the_flat_list(copies):
     """Powers of two come off the chain of squarings, others from
-    matrix_power; a segment on four qubits runs gate by gate."""
+    matrix_power, each with matrix_power's bits; a segment on four qubits
+    runs gate by gate."""
     segment = (h(0), ry(0.7, 1, controls=[0]), phase(0.3, 2), swap(0, 2))
     wide = (h(3), x(0, controls=[3]), z(1), x(2, controls=[1]))
-    runs = ((segment, copies), ((x(1),), 1), (segment, 2), (wide, copies))
+    single = x(1)
+    runs = ((segment, copies), ((single,), 1), (segment, 2), (wide, copies))
     circ = Circuit(4, runs=runs)
     flat = Circuit(4, circ.gates)
     assert len(circ) == 8 * copies + 9
-    assert_same_steps(circ.steps, flat.steps)
-    assert circ.final_state.amps.tobytes() == flat.final_state.amps.tobytes()
+    assert_same_steps(circ.steps, (power_step(segment, copies), single, power_step(segment, 2), *wide * copies))
+    assert flat.steps is flat.gates
+    assert np.abs(circ.final_state.amps - gate_by_gate(flat)).max() < 1e-12
 
 
 def test_a_circuit_with_nothing_to_fold_plans_its_own_gates():
@@ -116,15 +127,16 @@ def counter(monkeypatch, owner, name):
     return calls
 
 
-def test_only_the_single_copy_runs_are_scanned(monkeypatch):
+def test_the_single_copy_runs_are_their_own_steps():
     q_op = q_operator(0.3, 1.1, 2.2)
     circ = build_qpe_circuit(q_op, 10)
-    scans = counter(monkeypatch, statevector, "_plan")
     assert len(circ.steps) == 42
-    singles = [segment for segment, copies in circ.runs if copies == 1]
-    # Preparation and Hadamards, the k = 0 copy of controlled Q, the inverse QFT.
-    assert [args[0] for args in scans] == singles
-    assert sum(map(len, singles)) == 5 + 10 + 17 + 55 + 5
+    singles = [g for segment, copies in circ.runs[:-1] if copies == 1 for g in segment]
+    # Preparation and Hadamards, then the k = 0 copy of controlled Q.
+    assert len(singles) == 5 + 10 + 17
+    assert all(step is gate for step, gate in zip(circ.steps, singles))
+    assert all(type(step) is _Step for step in circ.steps[len(singles) : -1])
+    assert circ.steps[-1] == _Fourier(2, 10)
 
 
 def test_planning_n10_builds_one_local_matrix(monkeypatch):

@@ -1,7 +1,7 @@
 """``qpe.fold_outcome`` refuses an outcome outside the register and a
-width below 1, and ``bandit.reward_probability`` an angle that is not a
-finite float, each naming its field, where they once returned a wrong
-number or raised a bare math error."""
+width outside [1, MAX_EVAL_QUBITS], and ``bandit.reward_probability`` an
+angle that is not a finite float, each naming its field, where they once
+returned a wrong number, raised a bare math error or ran for a second."""
 
 import math
 
@@ -18,8 +18,11 @@ from qbandit.qpe import _fold, fold_outcome, outcome_to_value
         (9, 3, r"y must be in \[0, 7\], got 9"),
         (8, 3, r"y must be in \[0, 7\], got 8"),
         (-1, 3, r"y must be in \[0, 7\], got -1"),
-        (3, 0, "n must be >= 1, got 0"),
-        (0, -2, "n must be >= 1, got -2"),
+        (3, 0, r"n must be in \[1, 12\], got 0"),
+        (0, -2, r"n must be in \[1, 12\], got -2"),
+        (0, 13, r"n must be in \[1, 12\], got 13"),
+        # Refused before any 2**n is built: it once took a second and 47 MB.
+        (0, 10**8, r"n must be in \[1, 12\], got 100000000"),
         (1.0, 3, "y must be integral"),
         (True, 3, "y must be integral"),
         (1, 2.0, "n must be integral"),
@@ -41,7 +44,7 @@ def test_fold_outcome_names_y_as_outcome_to_value_does(y):
     assert refusal(fold_outcome, y, 3) == refusal(outcome_to_value, y, 3)
 
 
-@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("n", [1, 3, 10, 12])
 def test_fold_outcome_keeps_every_register_outcome(n):
     size = 2**n
     assert [fold_outcome(y, n) for y in range(size)] == [min(y, size - y) for y in range(size)]

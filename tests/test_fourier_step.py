@@ -1,10 +1,7 @@
-"""Phase estimation's inverse QFT as one FFT step.  The ladder that
-``qpe`` builds and caches per register is marked, and a step plan that
-meets that very tuple of gate objects runs it as one ``_Fourier`` step;
-every other circuit, an equal ladder built afresh included, keeps the
-plan it had before any ladder was marked."""
-
-from unittest import mock
+"""Phase estimation's inverse QFT as one FFT step.  ``qpe`` builds the
+ladder as an ``_InverseQft``, and a circuit's runs that hold it as a
+segment plan it as one ``_Fourier`` step; the same gates as a plain
+tuple, or in a flat gate list, run gate by gate."""
 
 import numpy as np
 import pytest
@@ -12,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_same_steps, gate_by_gate, random_circuit
-from qbandit import statevector
 from qbandit.bandit import Arm, BanditParams, PolicySpec, build_arm_circuit
 from qbandit.qpe import (
     _inverse_qft,
@@ -27,8 +23,7 @@ from qbandit.statevector import (
     SimulationError,
     StateVector,
     _Fourier,
-    _mark_inverse_qft,
-    _plan,
+    _InverseQft,
     apply_circuit,
     circuit_unitary,
     h,
@@ -50,12 +45,6 @@ def random_state(num_qubits, rng):
     return amps / np.linalg.norm(amps)
 
 
-def unmarked_plan(gates):
-    """The plan ``_plan`` makes with no ladder marked."""
-    with mock.patch.dict(statevector._FOURIER, clear=True):
-        return _plan(gates)
-
-
 @settings(max_examples=20, deadline=None)
 @given(p_left=st.floats(0.0, 1.0), theta_left=ANGLE, theta_right=ANGLE, n=WIDTH, seed=SEED)
 def test_qpe_on_a_random_state_matches_the_gate_by_gate_reference(p_left, theta_left, theta_right, n, seed):
@@ -69,15 +58,14 @@ def test_qpe_on_a_random_state_matches_the_gate_by_gate_reference(p_left, theta_
 @settings(max_examples=12, deadline=None)
 @given(n=WIDTH, extra=st.integers(0, 1), sizes=st.tuples(st.integers(0, 6), st.integers(0, 6)), seed=SEED)
 def test_a_marked_ladder_between_random_gates_matches_the_reference(n, extra, sizes, seed):
-    """A flat circuit, wider than the register by ``extra`` qubits above
-    it: its unitary, a batch of every basis state, up to 10 qubits (16
-    MB), and a random state."""
+    """A circuit of runs, wider than the register by ``extra`` qubits
+    above it: its unitary, a batch of every basis state, up to 10 qubits
+    (16 MB), and a random state."""
     rng = np.random.default_rng(seed)
     width = n + 2 + extra
     before, after = (random_circuit(width, k, rng).gates for k in sizes)
-    circ = Circuit(width, before + _inverse_qft(n) + after)
-    assert [s for s in circ.steps if type(s) is _Fourier] == [_Fourier(2, n)]
-    assert len(circ.steps) == len(before) + 1 + len(after)
+    circ = Circuit(width, runs=((before, 1), (_inverse_qft(n), 1), (after, 1)))
+    assert circ.steps == (*before, _Fourier(2, n), *after)
     if width <= 10:
         eye = np.eye(2**width, dtype=complex)
         assert np.abs(circuit_unitary(circ) - gate_by_gate(circ, eye)).max() < 1e-12
@@ -85,9 +73,13 @@ def test_a_marked_ladder_between_random_gates_matches_the_reference(n, extra, si
     assert np.abs(apply_circuit(StateVector(width, amps), circ).amps - gate_by_gate(circ, amps)).max() < 1e-12
 
 
+def ladder_circuit(n):
+    return Circuit(n + 2, runs=((_inverse_qft(n), 1),))
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_the_fft_is_the_ladders_unitary(n):
-    ladder = Circuit(n + 2, _inverse_qft(n))
+    ladder = ladder_circuit(n)
     want = gate_by_gate(ladder, np.eye(2 ** (n + 2), dtype=complex))
     assert np.abs(circuit_unitary(ladder) - want).max() < 1e-15
     assert ladder.steps == ((_Fourier(2, n),) if n >= 2 else ladder.gates)
@@ -95,54 +87,46 @@ def test_the_fft_is_the_ladders_unitary(n):
 
 @settings(max_examples=20, deadline=None)
 @given(p_left=st.floats(0.0, 1.0), theta_left=ANGLE, theta_right=ANGLE, n=WIDTH)
-def test_the_runs_plan_is_the_flat_copys_plan(p_left, theta_left, theta_right, n):
+def test_the_mark_changes_only_the_ladders_steps(p_left, theta_left, theta_right, n):
     circ = qpe_circuit(p_left, theta_left, theta_right, n)
-    flat = Circuit(circ.num_qubits, circ.gates)
-    assert_same_steps(circ.steps, flat.steps)
-    assert_same_steps(circ.steps, _plan(circ.gates))
-    # Without the mark, the same plan but for the ladder's gates.
     ladder = _inverse_qft(n)
-    assert_same_steps(unmarked_plan(circ.gates), circ.steps[:-1] + ladder)
-    assert circ.final_state.amps.tobytes() == flat.final_state.amps.tobytes()
-
-
-@settings(max_examples=30, deadline=None)
-@given(num_qubits=st.integers(2, 6), size=st.integers(0, 30), seed=SEED)
-def test_random_circuits_keep_the_unmarked_plan(num_qubits, size, seed):
-    gates = random_circuit(num_qubits, size, np.random.default_rng(seed)).gates
-    assert_same_steps(_plan(gates), unmarked_plan(gates))
+    assert circ.runs[-1] == (ladder, 1) and circ.runs[-1][0] is ladder
+    # The same runs with the ladder as a plain tuple: its gates are steps.
+    unmarked = Circuit(circ.num_qubits, runs=circ.runs[:-1] + ((tuple(ladder), 1),))
+    assert_same_steps(unmarked.steps, circ.steps[:-1] + ladder)
+    assert circ.steps[-1] == _Fourier(2, n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_a_ladder_built_afresh_runs_gate_by_gate(n):
     afresh = tuple(inverse_qft_gates(eval_qubits(n)))
     assert afresh == _inverse_qft(n)  # equal gates, other objects
-    circ = Circuit(n + 2, afresh)
-    assert circ.steps is circ.gates
-    assert np.array_equal(circ.final_state.amps, gate_by_gate(circ))
+    for circ in (Circuit(n + 2, afresh), Circuit(n + 2, runs=((afresh, 1),))):
+        assert circ.steps is circ.gates
+        assert np.array_equal(circ.final_state.amps, gate_by_gate(circ))
 
 
 def test_part_of_a_marked_ladder_runs_gate_by_gate():
     ladder = _inverse_qft(4)
     for gates in (ladder[:-1], ladder[:1] + ladder[2:], (ladder[0],) * 4 + ladder[1:3]):
-        circ = Circuit(6, gates)
-        assert_same_steps(circ.steps, unmarked_plan(gates))
-        assert not any(type(s) is _Fourier for s in circ.steps)
+        circ = Circuit(6, runs=((gates, 1),))
+        assert circ.steps is circ.gates
+        assert np.array_equal(circ.final_state.amps, gate_by_gate(circ))
 
 
 def test_a_ladder_twice_is_two_steps():
     ladder, a, b = _inverse_qft(3), h(0), x(1, controls=[0])
-    circ = Circuit(5, ladder + ladder)
-    assert circ.steps == (_Fourier(2, 3), _Fourier(2, 3))
-    assert np.abs(circ.final_state.amps - gate_by_gate(circ)).max() < 1e-15
-    # A segment holding the ladder, repeated: no fold reaches back over an FFT step.
-    circ = Circuit(5, ((a, b) + ladder) * 3)
+    for runs in (((ladder, 1), (ladder, 1)), ((ladder, 2),)):
+        circ = Circuit(5, runs=runs)
+        assert circ.steps == (_Fourier(2, 3), _Fourier(2, 3))
+        assert np.abs(circ.final_state.amps - gate_by_gate(circ)).max() < 1e-15
+    circ = Circuit(5, runs=(((a, b), 1), (ladder, 1)) * 3)
     assert circ.steps == (a, b, _Fourier(2, 3)) * 3
     assert np.abs(circ.final_state.amps - gate_by_gate(circ)).max() < 1e-15
 
 
-def test_other_circuits_keep_the_unmarked_plan():
-    params = BanditParams(0.4, 0.4)  # the right arm's plan folds
+def test_other_circuits_have_no_fft_step():
+    params = BanditParams(0.4, 0.4)  # the right arm repeats (X, cRY)
     prep = build_state_prep(PolicySpec(0.3), params)
     for circ in (
         build_arm_circuit(Arm.LEFT, params),
@@ -150,13 +134,20 @@ def test_other_circuits_keep_the_unmarked_plan():
         prep,
         build_grover_operator(prep).circuit(),
         qpe_circuit(0.3, 1.1, 2.2, 1),  # a one-qubit register's ladder is one H
+        Circuit(6, _inverse_qft(4)),  # a flat copy of a marked ladder
     ):
-        assert_same_steps(circ.steps, unmarked_plan(circ.gates))
-        assert not any(type(s) is _Fourier for s in circ.steps)
+        assert circ.steps is circ.gates
+
+
+def test_a_one_qubit_register_gets_no_fft_step():
+    ladder = _InverseQft(inverse_qft_gates((2,)), (2,))
+    assert ladder.fourier is None and ladder == (h(2),)
+    circ = Circuit(3, runs=((ladder, 1),))
+    assert circ.steps is circ.gates
 
 
 def test_a_ladder_on_qubits_out_of_order_is_refused():
     with pytest.raises(SimulationError, match=r"consecutive increasing qubits, got \(3, 2\)"):
-        _mark_inverse_qft(tuple(inverse_qft_gates((3, 2))), (3, 2))
+        _InverseQft(inverse_qft_gates((3, 2)), (3, 2))
     with pytest.raises(SimulationError, match=r"got \(0, 2\)"):
-        _mark_inverse_qft(tuple(inverse_qft_gates((0, 2))), (0, 2))
+        _InverseQft(inverse_qft_gates((0, 2)), (0, 2))

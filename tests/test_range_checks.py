@@ -56,6 +56,11 @@ INTEGER_CASES = {
     "qsample_count(2.5)": (lambda: qsample_count(2.5), "n"),
     "error_bound(2.5, 0.3)": (lambda: error_bound(2.5, 0.3), "n"),
     "value_grid(0)": (lambda: value_grid(0), "n"),
+    "value_grid(13)": (lambda: value_grid(13), "n"),
+    "value_grid(20)": (lambda: value_grid(20), "n"),
+    "outcome_to_value(0, 13)": (lambda: outcome_to_value(0, 13), "n"),
+    "outcome_to_value(0, 10**8)": (lambda: outcome_to_value(0, 10**8), "n"),
+    "outcome_to_value(0, 0)": (lambda: outcome_to_value(0, 0), "n"),
     "outcome_to_value(1.5, 3)": (lambda: outcome_to_value(1.5, 3), "y"),
     "outcome_to_value(8, 3)": (lambda: outcome_to_value(8, 3), "y"),
     "outcome_to_value(-1, 3)": (lambda: outcome_to_value(-1, 3), "y"),

@@ -1,5 +1,5 @@
-"""The ideal simulator's step plan: a segment of gate objects repeated
-back to back runs as one matrix power, every other gate as itself.
+"""The ideal simulator's step plan: a run of a segment's copies runs as
+one matrix power, every other gate as itself.
 Ideal QPE stays on the closed form, small circuits on a gate-by-gate
 reference, the noisy path applies every gate, and a kept histogram
 holds its exact distribution at its information size."""
@@ -60,17 +60,16 @@ def test_ideal_qpe_matches_the_closed_form(p_left, theta_left, theta_right, n):
 )
 @example(num_qubits=2, sizes=(2, 2, 2), copies=2, seed=1129762002)  # ``after`` equals the segment
 def test_a_repeated_segment_matches_the_gate_by_gate_reference(num_qubits, sizes, copies, seed):
+    """The segment's copies are declared as one run, so they fold; gates
+    before and after it are their own steps, even when equal to it."""
     rng = np.random.default_rng(seed)
     before, segment, after = (random_circuit(num_qubits, k, rng).gates for k in sizes)
-    circ = Circuit(num_qubits, before + segment * copies + after)
+    circ = Circuit(num_qubits, runs=((before, 1), (segment, copies), (after, 1)))
+    assert circ.gates == before + segment * copies + after
     want = gate_by_gate(circ)
     assert np.abs(circ.final_state.amps - want).max() < 1e-12
     if len({q for g in segment for q in g.qubits}) <= 3:
-        # Copies of the segment, equal by value, that open ``after`` fold too.
-        p, extra = len(segment), 0
-        while after[extra * p : (extra + 1) * p] == segment:
-            extra += 1
-        assert len(circ.steps) == len(before) + 1 + len(after) - extra * p
+        assert len(circ.steps) == len(before) + 1 + len(after)
     else:
         assert circ.steps == circ.gates
 
