@@ -45,13 +45,23 @@ from numpy's ``Generator``, and the tests hold the two to the same
 counts; ``tests/test_noise_decode.py`` also feeds both hand-built words.
 
 The shots then go through the circuit together, one state per column,
-in chunks of at most ``_CHUNK_AMPS`` amplitudes.  Each gate is one
-``_apply_matrix`` on the whole chunk.  The chunk's errors are grouped
-by (gate, shot) into Pauli strings, and a gate's strings are one
-gather, multiply and scatter of the columns they hit: a Pauli string
-only permutes amplitudes and multiplies them by ±1 or ±i, so this is
-exact.  The readout is one marginal, draw, readout-flip XOR and tally
-per chunk; a bitstring is rendered once per outcome, never per shot.
+in chunks of at most ``_CHUNK_AMPS`` amplitudes.  The chunk's errors
+are grouped by (gate, shot) into Pauli strings.  A circuit given by
+runs (``Circuit.runs``) takes each run whose segment has two or more
+gates on at most ``statevector._FOLD_QUBITS`` qubits as one
+``_apply_matrix`` of U^m on the whole chunk, U being the segment's
+matrix and m its copies, from the same local products and squarings as
+the ideal step plan, so a shot with no error there gets the ideal
+plan's matrix.  An erring shot first takes its run's errors, moved to
+the run's start (``_apply_run_errors``): an error P after the gate that
+completes V of the run becomes V^dagger P V before it, an identity, so
+each trajectory stays exact.  Every other gate, and every gate of a
+flat gate list, is one ``_apply_matrix`` on the whole chunk, and its
+strings are one gather, multiply and scatter of the columns they hit: a
+Pauli string only permutes amplitudes and multiplies them by ±1 or ±i,
+so this is exact.  The readout is one marginal, draw, readout-flip XOR
+and tally per chunk; a bitstring is rendered once per outcome, never
+per shot.
 
 Default rates are invented (no hardware calibration behind them),
 chosen so that deeper circuits visibly degrade more.
@@ -74,7 +84,11 @@ from .statevector import (
     _bitstring,
     _derive_seeds,
     _draw,
+    _gate_rows,
+    _Local,
+    _local,
     _marginal,
+    _outcomes,
     _subset,
     check_number,
     check_real,
@@ -123,7 +137,7 @@ class _Slots(NamedTuple):
     is the rate on a word's top 53 bits: the uniform (w >> 11) * 2**-53
     is below the rate exactly when w >> 11 < ceil(rate * 2**53)."""
 
-    rate: list[float]
+    rate: np.ndarray
     gate: np.ndarray
     qubit: np.ndarray
     end: np.ndarray
@@ -131,18 +145,19 @@ class _Slots(NamedTuple):
 
     @classmethod
     def of(cls, circ: Circuit, config: NoiseConfig) -> _Slots:
-        rate, gate, qubit, end, below = [], [], [], [], []
-        bounds = (math.ceil(config.p1 * 2**53), math.ceil(config.p2 * 2**53))
-        for g, op in enumerate(circ.gates):
-            touched = op.qubits
-            k = len(touched)
-            rate += [config.p1 if k == 1 else config.p2] * k
-            below += [bounds[k > 1]] * k
-            gate += [g] * k
-            qubit += touched
-            end += [len(qubit)] * k
-        gate, qubit, end = np.array(gate, np.intp), np.array(qubit, np.intp), np.array(end, np.intp)
-        return cls(rate, gate, qubit, end, np.array(below, dtype=np.uint64))
+        """The slots of ``circ``, built run by run: a segment's widths and
+        qubits once, repeated per copy."""
+        widths, qubits = [], []
+        for segment, copies in circ.runs or ((circ.gates, 1),):
+            widths.append(np.tile(np.array([len(g.qubits) for g in segment], np.intp), copies))
+            qubits.append(np.tile(np.array([q for g in segment for q in g.qubits], np.intp), copies))
+        width = np.concatenate(widths)
+        wide = np.repeat(width > 1, width).astype(np.intp)
+        gate = np.repeat(np.arange(len(width)), width)
+        end = np.repeat(np.cumsum(width), width)
+        rates = np.array([config.p1, config.p2])
+        bounds = np.array([math.ceil(config.p1 * 2**53), math.ceil(config.p2 * 2**53)], dtype=np.uint64)
+        return cls(rates[wide], gate, np.concatenate(qubits), end, bounds[wide])
 
 
 def _errors(words: np.ndarray, slots: _Slots, spare: int, used: np.ndarray) -> tuple | None:
@@ -267,6 +282,62 @@ def _apply_paulis(amps: np.ndarray, cols, flip, negate, ys) -> None:
     amps[:, cols] = amps[src, cols] * _I_POWERS[power]
 
 
+def _apply_run_errors(amps: np.ndarray, n: int, local: _Local, length: int, time, cols, flip, negate, ys) -> None:
+    """The Pauli strings of one run of ``local``'s segment (``length``
+    gates a copy), moved to the run's start and applied in place there,
+    so that the run's power step U^m then takes each column where the
+    gate-by-gate loop would, up to rounding.
+
+    Error e comes after gate j = time[e] % length of copy c = time[e] //
+    length, with a string P as in ``_apply_paulis``.  The run has then
+    applied V = A_j U^c, A_j being the segment's product through gate j
+    (``local.prefix[j]``), and P V = V K for K = V^dagger P V: the error
+    is K at the run's start.  A column's errors K_1, ..., K_e, in time
+    order, become W = K_e ... K_1 on the run's qubits.
+
+    The erring columns are taken in slices of whole columns with at most
+    ``_BLOCK_WORDS // (8 d^2)`` errors in all, d = 2^len(qubits), or one
+    column if it alone has more: the slice's stacks of one complex d x d
+    matrix per error or per pair, at most four at once, then hold no more
+    words than a block of raw words, beside its columns' amplitudes.  V
+    is formed once per distinct (copy, gate) pair of a slice."""
+    d = len(local.chain[0])
+    # The strings on the run's qubits: bit b of a local index is qubits[b].
+    lflip, lneg = (_outcomes(n, local.qubits)[mask] for mask in (flip, negate))
+    # The columns with the most errors first, so that those still
+    # multiplying in a round of a slice are a prefix; each column's
+    # errors in time order, as given.
+    order = np.lexsort((cols, -np.bincount(cols)[cols]))
+    time, cols = time[order], cols[order]
+    src = np.arange(d) ^ lflip[order, None]  # row k of P V is a phase times row src[k] of V
+    phase = _I_POWERS[(2 * np.bitwise_count(src & lneg[order, None]) + ys[order, None]) & 3]
+    bounds = np.flatnonzero(np.diff(cols, prepend=-1, append=-1))  # each column's first error, then the end
+    top = int(time.max()) // length  # U^c for every copy c up to the last erring one
+    powers = np.eye(d, dtype=complex)[None]
+    for k in range(top.bit_length()):
+        powers = np.concatenate((powers, powers[: top + 1 - len(powers)] @ local.power(1 << k)))
+    limit = max(1, _BLOCK_WORDS // (8 * d * d))
+    flat, rows = amps.reshape(-1), _gate_rows(n, local.qubits, ()) * amps.shape[1]
+    a = 0
+    while a < len(bounds) - 1:
+        b = max(a + 1, int(np.searchsorted(bounds, bounds[a] + limit, "right")) - 1)
+        lo, hi = bounds[a], bounds[b]
+        pairs, pair = np.unique(time[lo:hi], return_inverse=True)
+        copy, gate = np.divmod(pairs, length)
+        v = np.take(local.prefix, gate, axis=0) @ np.take(powers, copy, axis=0)
+        k = np.take(np.conjugate(v.swapaxes(1, 2), order="C"), pair, axis=0)
+        k *= phase[lo:hi, None, :]  # V^dagger P
+        k = k @ np.take(v.reshape(-1, d), pair[:, None] * d + src[lo:hi], axis=0)
+        count, head = np.diff(bounds[a : b + 1]), bounds[a:b] - lo
+        w = k[head]  # W = K_e ... K_1
+        for r in range(1, count[0]):
+            live = np.count_nonzero(count > r)
+            w[:live] = k[head[:live] + r] @ w[:live]
+        at = cols[bounds[a:b], None, None] + rows  # (column, local index, rest)
+        flat[at] = w @ flat[at]
+        a = b
+
+
 def _trajectories(
     circ: Circuit,
     config: NoiseConfig,
@@ -281,6 +352,14 @@ def _trajectories(
     n = circ.num_qubits
     slots = _Slots.of(circ, config)
     qubits = _subset(n, qubits)  # checked before any work
+    # (index of the run's first gate, segment, copies, local, step): a run
+    # with a _Local is one power step; any other runs gate by gate, as
+    # every gate of a flat gate list does.
+    plan, cache, offset = [], {}, 0
+    for segment, copies in circ.runs or ((circ.gates, 1),):
+        local = _local(segment, cache) if circ.runs and len(segment) > 1 else None
+        plan.append((offset, segment, copies, local, local.step(copies) if local else None))
+        offset += len(segment) * copies
     size = max(1, _CHUNK_AMPS >> n)
     tally: dict[int, int] = {}
     for start in range(0, shots, size):
@@ -288,12 +367,23 @@ def _trajectories(
         read = lambda i, k: _PHILOX.raw(chunk[i])(k)  # shot i's first k words
         found, readout = _draws(read, len(chunk), slots, 1 + len(qubits), _SPARE)
         strings = _pauli_strings(n, slots, len(chunk), found) if found else {}
+        erring = np.fromiter(strings, np.intp, len(strings))  # increasing
         amps = np.zeros((2**n, len(chunk)), dtype=complex)
         amps[0] = 1.0  # every column starts in |0...0>
-        for g, gate in enumerate(circ.gates):
-            _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls, gate.moves)
-            if g in strings:
-                _apply_paulis(amps, *strings[g])
+        for offset, segment, copies, local, step in plan:
+            if local is None:
+                for g, gate in enumerate(segment * copies, offset):
+                    _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls, gate.moves)
+                    if g in strings:
+                        _apply_paulis(amps, *strings[g])
+                continue
+            a, b = np.searchsorted(erring, (offset, offset + len(segment) * copies))
+            if a < b:  # some shot errs in the run
+                gates = erring[a:b]
+                parts = [strings[g] for g in gates.tolist()]
+                times = np.repeat(gates - offset, [len(cols) for cols, *_ in parts])
+                _apply_run_errors(amps, n, local, len(segment), times, *map(np.concatenate, zip(*parts)))
+            _apply_matrix(amps, n, *step)
         marg = _marginal(amps, n, qubits)
         flips = (readout[:, 1:] < config.readout_flip).dot(1 << np.arange(len(qubits)))
         outcomes = _draw(marg, readout[:, 0]) ^ flips

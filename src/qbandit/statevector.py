@@ -32,8 +32,9 @@ power is the k-th squaring, the product ``np.linalg.matrix_power``
 makes.  A segment built as an ``_InverseQft``, as phase estimation builds
 its inverse QFT, runs as one orthonormal FFT along the register's axis
 of the amplitudes (``_Fourier``).  Every other gate is its own step, with
-its own matrix.  Noisy trajectories put errors after each gate and run
-the gates themselves.
+its own matrix.  Noisy trajectories read a run's power from the same
+local products (``_local``), for single-copy runs too, and move each
+erring shot's errors to the run's start (``noise._apply_run_errors``).
 
 A gate whose matrix is a permutation with unit phases (every nonzero
 entry exactly 1, -1, i or -i: X, SWAP, Z and their controlled forms,
@@ -496,20 +497,23 @@ class Circuit:
         given by ``gates``.
 
         A circuit given by runs takes its plan from them, with no scan:
-        each run of two or more copies is one power step
-        (``_repeat_steps``), an ``_InverseQft`` segment of two or more
-        qubits is one FFT step per copy, and every other run's gates are
-        their own steps.  Runs whose segments have the same local matrix
-        share it and one chain of its squarings."""
+        each run of two or more copies of a segment on at most
+        ``_FOLD_QUBITS`` qubits is one step, its ``_Local`` U raised to the
+        copies, an ``_InverseQft`` segment of two or more qubits is one FFT
+        step per copy, and every other run's gates are their own steps.
+        Runs whose segments have the same local matrix share it and one
+        chain of its squarings."""
         if self.runs is None:
             return self.gates
         steps: list[Gate | _Step | _Fourier] = []
-        chains: dict[tuple, list[np.ndarray]] = {}
+        cache: dict[tuple, tuple] = {}
         for segment, copies in self.runs:
             if isinstance(segment, _InverseQft) and segment.fourier:
                 steps += [segment.fourier] * copies
+            elif copies == 1 or (local := _local(segment, cache)) is None:
+                steps += segment * copies
             else:
-                steps += segment if copies == 1 else _repeat_steps(segment, copies, chains)
+                steps.append(local.step(copies))
         return self.gates if len(steps) == len(self.gates) else tuple(steps)
 
     @functools.cached_property
@@ -692,40 +696,59 @@ class _Step(NamedTuple):
 _FOLD_QUBITS = 3
 
 
-def _repeat_steps(
-    segment: tuple[Gate, ...], m: int, chains: dict[tuple, list[np.ndarray]]
-) -> list[Gate | _Step]:
-    """``segment`` applied ``m`` >= 2 times as steps: every gate of every
-    copy if it touches more than ``_FOLD_QUBITS`` qubits, else one step on
-    them whose matrix is the segment's ``circuit_unitary`` on those qubits
-    (the lowest one least significant) raised to m.
+class _Local(NamedTuple):
+    """A segment's gates on its ``qubits``, at most ``_FOLD_QUBITS``, the
+    lowest one least significant: ``prefix[j]`` is the product of its
+    gates 0 to j, so ``prefix[-1]`` is the segment's ``circuit_unitary``
+    U on those qubits, and ``chain`` holds U and its squarings so far."""
 
-    ``chains`` maps the bytes of the segment's gate matrices, placed on
-    its local qubits, to the local matrix and its squarings so far, so
-    segments that differ only in which qubits they touch share one.
-    m = 2^k takes the k-th squaring, which is the product
-    ``np.linalg.matrix_power`` makes for it; any other m takes
-    ``matrix_power`` itself."""
+    qubits: tuple[int, ...]
+    prefix: np.ndarray
+    chain: list[np.ndarray]
+
+    def power(self, m: int) -> np.ndarray:
+        """U^m, read-only.  m = 2^k takes the k-th squaring, which is the
+        product ``np.linalg.matrix_power`` makes for it; any other m takes
+        ``matrix_power`` itself."""
+        chain = self.chain
+        if m & (m - 1):
+            matrix = np.linalg.matrix_power(chain[0], m)
+        else:
+            while len(chain) < m.bit_length():
+                chain.append(chain[-1] @ chain[-1])
+            matrix = chain[m.bit_length() - 1]
+        matrix.setflags(write=False)
+        return matrix
+
+    def step(self, m: int) -> _Step:
+        """One kernel call for ``m`` copies of the segment."""
+        matrix = self.power(m)
+        return _Step(matrix, self.qubits, (), _moves(matrix))
+
+
+def _local(segment: tuple[Gate, ...], cache: dict[tuple, tuple]) -> _Local | None:
+    """``segment``'s ``_Local``, or None if it touches more than
+    ``_FOLD_QUBITS`` qubits.
+
+    ``cache`` maps the bytes of the segment's gate matrices, placed on its
+    local qubits, to the prefix products and the chain, so segments that
+    differ only in which qubits they touch share them."""
     qubits = sorted({q for g in segment for q in g.qubits})
     if len(qubits) > _FOLD_QUBITS:
-        return list(segment * m)
+        return None
     local = {q: j for j, q in enumerate(qubits)}
     placed = [(g, tuple(map(local.get, g.targets)), tuple(map(local.get, g.controls))) for g in segment]
     key = tuple((g.matrix.tobytes(), targets, controls) for g, targets, controls in placed)
-    chain = chains.get(key)
-    if chain is None:
+    shared = cache.get(key)
+    if shared is None:
         unitary = np.eye(2 ** len(qubits), dtype=complex)
-        for g, targets, controls in placed:
+        prefix = np.empty((len(segment), *unitary.shape), dtype=complex)
+        for j, (g, targets, controls) in enumerate(placed):
             _apply_matrix(unitary, len(qubits), g.matrix, targets, controls, g.moves)
-        chain = chains[key] = [unitary]
-    if m & (m - 1):
-        matrix = np.linalg.matrix_power(chain[0], m)
-    else:
-        while len(chain) < m.bit_length():
-            chain.append(chain[-1] @ chain[-1])
-        matrix = chain[m.bit_length() - 1]
-    matrix.setflags(write=False)
-    return [_Step(matrix, tuple(qubits), (), _moves(matrix))]
+            prefix[j] = unitary
+        prefix.setflags(write=False)
+        shared = cache[key] = (prefix, [unitary])
+    return _Local(tuple(qubits), *shared)
 
 
 def circuit_unitary(circ: Circuit) -> np.ndarray:

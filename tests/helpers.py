@@ -1,6 +1,7 @@
 """Shared test utilities."""
 
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -101,6 +102,24 @@ def reference_trajectory(circ: Circuit, config, seed: int, qubits=None) -> str:
         if flip:
             m ^= 1 << j
     return _bitstring(m, marg)
+
+
+def reference_slots(circ: Circuit, config) -> tuple[np.ndarray, ...]:
+    """``(rate, gate, qubit, end, below)``, one entry per (gate, touched
+    qubit), read off ``circ.gates`` one gate at a time: the oracle for
+    ``noise._Slots.of``, which builds them run by run."""
+    rate, gate, qubit, end, below = [], [], [], [], []
+    bounds = (math.ceil(config.p1 * 2**53), math.ceil(config.p2 * 2**53))
+    for g, op in enumerate(circ.gates):
+        touched = op.qubits
+        k = len(touched)
+        rate += [config.p1 if k == 1 else config.p2] * k
+        below += [bounds[k > 1]] * k
+        gate += [g] * k
+        qubit += touched
+        end += [len(qubit)] * k
+    ints = (np.array(v, dtype=np.intp) for v in (gate, qubit, end))
+    return (np.array(rate, dtype=float), *ints, np.array(below, dtype=np.uint64))
 
 
 def fresh_uniforms(seed: int, count: int) -> np.ndarray:

@@ -1,8 +1,8 @@
 """The ideal simulator's step plan: a run of a segment's copies runs as
 one matrix power, every other gate as itself.
 Ideal QPE stays on the closed form, small circuits on a gate-by-gate
-reference, the noisy path applies every gate, and a kept histogram
-holds its exact distribution at its information size."""
+reference, a noisy trajectory takes each narrow run as one step, and a
+kept histogram holds its exact distribution at its information size."""
 
 import sys
 from pathlib import Path
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import gate_by_gate, random_circuit, traced_bytes
-from qbandit import noise
+from qbandit import noise, statevector
 from qbandit.backends import apportion
 from qbandit.bandit import Arm, BanditParams, PolicySpec, build_arm_circuit, policy_value
 from qbandit.noise import NoiseConfig, run_trajectory
@@ -27,7 +27,7 @@ from qbandit.qpe import (
     qft_gates,
     run_qpe,
 )
-from qbandit.statevector import Circuit, Gate, _Fourier, _Step, exact_distribution, h, x
+from qbandit.statevector import Circuit, _Fourier, _Step, exact_distribution, h, x
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from bench.oracle import folded_distribution  # noqa: E402
@@ -80,16 +80,11 @@ POOL = (x(0), h(1), x(1, controls=[0]), h(0), x(2, controls=[1]))
 @settings(max_examples=200, deadline=None)
 @given(picks=st.lists(st.integers(0, len(POOL) - 1), max_size=16))
 def test_recurring_gate_objects_match_the_reference(picks):
-    """Gate objects drawn from a small pool recur in any order.  Wherever
-    the plan folds nothing, the state has the reference's bits."""
+    """Gate objects drawn from a small pool recur in any order.  A flat
+    gate list folds nothing, so the state has the reference's bits."""
     circ = Circuit(3, tuple(POOL[i] for i in picks))
-    want = gate_by_gate(circ)
-    got = circ.final_state.amps
-    if all(isinstance(step, Gate) for step in circ.steps):
-        assert [id(s) for s in circ.steps] == [id(g) for g in circ.gates]
-        assert np.array_equal(got, want)
-    else:
-        assert np.abs(got - want).max() < 1e-12
+    assert circ.steps is circ.gates
+    assert np.array_equal(circ.final_state.amps, gate_by_gate(circ))
 
 
 def test_circuits_without_a_repeated_segment_plan_their_own_gates():
@@ -118,19 +113,33 @@ def test_each_controlled_power_of_q_is_one_step():
     assert circ.steps[-1] == _Fourier(2, 10)
 
 
-def test_a_noisy_trajectory_applies_every_gate(monkeypatch):
-    calls = []
+def test_a_noisy_trajectory_takes_each_narrow_run_as_one_step(monkeypatch):
+    """At n = 4 the trajectory's kernel calls are the 9 gates of the
+    preparation run, one power step per controlled run and the 12 gates of
+    the inverse QFT; the controlled runs share one local product, built
+    gate by gate once."""
+    calls, builds = [], []
     kernel = noise._apply_matrix
 
-    def counting(*args):
-        calls.append(1)
-        return kernel(*args)
+    def counting(into):
+        def call(amps, num_qubits, matrix, targets, controls, moves=None):
+            into.append((targets, controls))
+            return kernel(amps, num_qubits, matrix, targets, controls, moves)
 
-    monkeypatch.setattr(noise, "_apply_matrix", counting)
+        return call
+
+    monkeypatch.setattr(noise, "_apply_matrix", counting(calls))
+    monkeypatch.setattr(statevector, "_apply_matrix", counting(builds))
     circ = qpe_circuit(0.3, 1.1, 2.2, 4)
-    run_trajectory(circ, NoiseConfig(), seed=7, qubits=eval_qubits(4))
-    assert len(calls) == len(circ) == 276
-    assert len(circ.steps) < len(circ)
+    run_trajectory(circ, NoiseConfig(p1=0.3, p2=0.3), seed=7, qubits=eval_qubits(4))
+    (prep, _), *controlled, (qft, _) = circ.runs
+    assert [len(prep), len(qft)] == [9, 12] and len(calls) == 9 + 4 + 12
+    assert calls[:9] == [(g.targets, g.controls) for g in prep]
+    assert calls[9:13] == [((0, 1, 2 + k), ()) for k in range(4)]
+    assert calls[13:] == [(g.targets, g.controls) for g in qft]
+    assert [copies for _, copies in controlled] == [1, 2, 4, 8]
+    assert len(builds) == len(controlled[0][0]) == 17
+    assert len(circ) == 276
 
 
 def test_the_exact_distribution_is_a_compact_read_only_mapping():
