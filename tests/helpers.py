@@ -104,6 +104,68 @@ def reference_trajectory(circ: Circuit, config, seed: int, qubits=None) -> str:
     return _bitstring(m, marg)
 
 
+def channel_distribution(circ: Circuit, config, qubits=None) -> np.ndarray:
+    """The exact outcome distribution of ``circ`` under ``config``'s noise,
+    from density-matrix evolution: the independent oracle for the noise
+    channel, which shares no random stream with the trajectories.
+
+    rho is a vector on 2w qubits, rho[i + 2**w * j] = <i|rho|j>, so a gate
+    U is U on its qubits and conj(U) on the same qubits shifted by w.
+    After each gate every touched qubit q takes the depolarizing map
+    (1 - p) I + (p/3) sum_P conj(P) (x) P on (q, q + w), one Pauli with
+    probability p (Nielsen & Chuang, ch. 8).  The diagonal's marginal on
+    ``qubits`` (bit j is qubits[j]) then takes each readout flip as a
+    confusion map."""
+    w = circ.num_qubits
+    qubits = tuple(range(w)) if qubits is None else tuple(qubits)
+    rho = np.zeros(4**w, dtype=complex)
+    rho[0] = 1.0
+    pauli_sum = sum(np.kron(p.conj(), p) for p in _PAULIS)
+    maps = {
+        rate: (1 - rate) * np.eye(4) + rate / 3 * pauli_sum for rate in {config.p1, config.p2}
+    }
+    shift = lambda qs: tuple(q + w for q in qs)
+    for gate in circ.gates:
+        _apply_matrix(rho, 2 * w, gate.matrix, gate.targets, gate.controls)
+        _apply_matrix(rho, 2 * w, gate.matrix.conj(), shift(gate.targets), shift(gate.controls))
+        depolarize = maps[config.p1 if len(gate.qubits) == 1 else config.p2]
+        for q in gate.qubits:
+            _apply_matrix(rho, 2 * w, depolarize, (q, q + w), ())
+    diagonal = rho[:: 2**w + 1].real
+    index = np.arange(2**w)
+    outcome = sum(((index >> q) & 1) << j for j, q in enumerate(qubits))
+    marg = np.bincount(outcome, weights=diagonal, minlength=2 ** len(qubits))
+    r = config.readout_flip
+    for j in range(len(qubits)):
+        marg = (1 - r) * marg + r * marg[np.arange(marg.size) ^ (1 << j)]
+    return marg
+
+
+# Each outcome's count misses its mean by less than Bernstein's bound at
+# this probability, so a case with k outcomes fails by chance with
+# probability below k times it.
+MULTINOMIAL_DELTA = 1e-6
+
+
+def assert_multinomial(counts: dict[str, int], probs: np.ndarray, shots: int) -> None:
+    """``counts`` of ``shots`` independent draws are consistent with the
+    distribution ``probs`` over bitstrings (outcome m rendered in binary,
+    as the counts render it).  Bernstein's inequality: a count c with
+    mean N p and variance v = N p (1 - p) has P(|c - N p| >= t) <= 2
+    exp(-t^2 / (2 (v + t / 3))), which is ``MULTINOMIAL_DELTA`` at t =
+    L/3 + sqrt(L^2/9 + 2 v L), L = ln(2 / delta)."""
+    width = probs.size.bit_length() - 1
+    assert sum(counts.values()) == shots
+    assert all(len(bits) == width for bits in counts)
+    got = np.zeros(probs.size)
+    for bits, c in counts.items():
+        got[int(bits, 2)] = c
+    mean, var = shots * probs, np.maximum(shots * probs * (1 - probs), 0.0)
+    log = math.log(2 / MULTINOMIAL_DELTA)
+    bound = log / 3 + np.sqrt(log * log / 9 + 2 * var * log)
+    assert np.all(np.abs(got - mean) < bound), (got, mean, bound)
+
+
 def reference_slots(circ: Circuit, config) -> tuple[np.ndarray, ...]:
     """``(rate, gate, qubit, end, below)``, one entry per (gate, touched
     qubit), read off ``circ.gates`` one gate at a time: the oracle for
