@@ -60,9 +60,11 @@ class PolicySpec:
 
 
 def angle_from_frequency(f: float) -> float:
-    """Rotation angle whose arm wins with probability ``f``: 2*arcsin(sqrt(f))."""
+    """Rotation angle whose arm wins with probability ``f``: 2*arcsin(sqrt(f)),
+    computed as 2*atan2(sqrt(f), sqrt(1 - f)), which stays within a few
+    ulps near f = 1, where arcsin's slope is unbounded."""
     check_real("frequency", f, 0, 1)
-    return 2.0 * math.asin(math.sqrt(f))
+    return 2.0 * math.atan2(math.sqrt(f), math.sqrt(1.0 - f))
 
 
 def reward_probability(theta: float) -> float:

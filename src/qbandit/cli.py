@@ -51,8 +51,11 @@ from .training import (
 # 1 is every output before manifests recorded it; 2 moved the last digits
 # of ideal ``exact_prob`` cells, when the ideal simulator began applying a
 # repeated gate segment as one matrix power; 3 moved them again, when it
-# began applying phase estimation's inverse QFT as one FFT.
-OUTPUT_VERSION = 3
+# began applying phase estimation's inverse QFT as one FFT; 4 moved the
+# noisy shots, when each noisy call began reading one keyed stream with
+# one word per slot, and the angles ``angle_from_frequency`` rounds
+# differently since it takes them by atan2.
+OUTPUT_VERSION = 4
 
 
 class ConfigError(ValueError):

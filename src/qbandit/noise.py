@@ -7,46 +7,34 @@ with probability ``readout_flip``.  Averaged over trajectories this
 realizes a depolarizing channel — note the convention: error
 probability p applies ONE Pauli, so p = 3/4 is maximal mixing.
 
-Every shot has its own Philox stream, and the counts a seed gives are
-those of a gate-by-gate loop that draws from
-``np.random.Generator(np.random.Philox(key))``: per gate one ``random``
-uniform per touched qubit and one ``integers(3)`` Pauli index per
-uniform below the rate, then one uniform for the measurement and one
-per measured bit for the readout flips.  Philox is counter-based
-(Salmon et al., SC'11), so those draws are decoded from the stream's
-raw 64-bit words (``random_raw`` of the re-keyed stream that
-``statevector._PHILOX`` keeps per thread), by numpy's rules:
+Each call reads one Philox stream (Salmon et al., SC'11), keyed for
+``noisy_counts`` by ``derive_seed(config.seed, seed)`` and for
+``run_trajectory`` by its seed.  Shot i owns raw 64-bit words [i W, (i
++ 1) W) of that stream, W being one word per (gate, touched qubit) slot,
+one for the measurement and one per measured qubit, in that order.
+Philox is counter-based, so a shot's words are read by index, in blocks
+of whole shots through ``statevector._PHILOX.raw``, at most
+``_BLOCK_WORDS`` words (or one shot, if that is more), and a shot's
+draws do not depend on its chunk or block.  A word w stands for u = w >>
+11, a uniform integer below 2**53:
 
-* a uniform is one word w: ``(w >> 11) * 2**-53``, below a rate r
-  exactly when ``w >> 11 < ceil(r * 2**53)``;
-* a Pauli index is Lemire's multiply-shift (ACM TOMACS 2019) on a 32-bit
-  half x: ``(x * 3) >> 32``.  A draw takes the low half of a fresh word
-  and leaves the high half for the shot's next Pauli draw, in whatever
-  gate that comes; uniforms never use a left half.  The draw is redone
-  on the next half when ``(x * 3) & 0xFFFFFFFF == 0``, that is x = 0.
+* slot word w errs when u < B, B = ceil(rate * 2**53), which is the
+  uniform u * 2**-53 below the rate;
+* an erring slot's Pauli is X, Y or Z by its index 3u // B.  Given an
+  error, u is uniform on [0, B), so each Pauli comes up for floor(B/3)
+  or ceil(B/3) of its values: its probability is within 1/B of 1/3, and
+  its absolute probability within 2**-53 of rate / 3;
+* the measurement and readout words are uniforms u * 2**-53; a measured
+  bit flips when its word's uniform is below ``readout_flip``.
 
-The decode works on a chunk of shots at once.  The keys of
-``noisy_counts`` (``derive_seed(config.seed, seed, i)``) come from one
-array pass of ``SeedSequence``'s hash, ``statevector._derive_seeds``.
-Each shot's first words fill one row of a block of at most
-``_BLOCK_WORDS`` words: one per (gate, qubit) slot and per readout
-draw, and ``_SPARE`` more for its Pauli draws, which come before the
-readout words.  A shot with no word below its slot's rate needs no
-more decoding: its readout words follow its slots'.  The
-others are decoded in rounds (``_errors``): each round takes every such
-shot to its next erring gate, found by ``searchsorted`` among the
-block's hits, shifted by the words its Pauli draws have used, and makes
-that gate's draws for all of them.  A block in which some shot's draws
-outrun its spare words is read again whole, with wider rows.  The block
-is freed before the gates run.
-
-``tests/helpers.reference_trajectory`` is the gate-by-gate loop, drawing
-from numpy's ``Generator``, and the tests hold the two to the same
-counts; ``tests/test_noise_decode.py`` also feeds both hand-built words.
+So a block's errors are one comparison and one ``nonzero``.
+``tests/helpers.reference_trajectory`` reads the same words by index,
+one gate at a time, and the tests hold the two to the same counts.
 
 The shots then go through the circuit together, one state per column,
 in chunks of at most ``_CHUNK_AMPS`` amplitudes.  The chunk's errors
-are grouped by (gate, shot) into Pauli strings.  A circuit given by
+are grouped by (gate, shot) into Pauli strings, sorted by gate, and a
+gate's or a run's strings are a slice found by ``searchsorted``.  A circuit given by
 runs (``Circuit.runs``) takes each run whose segment has two or more
 gates on at most ``statevector._FOLD_QUBITS`` qubits as one
 ``_apply_matrix`` of U^m on the whole chunk, U being the segment's
@@ -71,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -82,7 +70,6 @@ from .statevector import (
     MeasurementCounts,
     _apply_matrix,
     _bitstring,
-    _derive_seeds,
     _draw,
     _gate_rows,
     _Local,
@@ -93,6 +80,7 @@ from .statevector import (
     check_number,
     check_real,
     check_seed,
+    derive_seed,
 )
 
 # The Pauli error with index i: X, Y, Z, as the gate-by-gate reference
@@ -108,11 +96,6 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 # A chunk of shots holds at most this many amplitudes (16 MB of
 # complex128), so memory does not grow with shots or register width.
 _CHUNK_AMPS = 2**20
-
-# Each shot's row has this many words past its slots and readout for
-# its Pauli draws; a block in which some shot's draws need more is read
-# again whole, with this spare doubled.
-_SPARE = 8
 
 
 @dataclass(frozen=True)
@@ -131,16 +114,12 @@ class NoiseConfig:
 
 
 class _Slots(NamedTuple):
-    """One slot per (gate, touched qubit), in the order a shot draws its
-    error uniforms: the gate's error rate, the gate's index, the qubit
-    and ``end``, one past the last slot of the slot's gate.  ``below``
-    is the rate on a word's top 53 bits: the uniform (w >> 11) * 2**-53
-    is below the rate exactly when w >> 11 < ceil(rate * 2**53)."""
+    """One slot per (gate, touched qubit), in the order of a shot's slot
+    words: the gate's index, the qubit, and ``below``, the gate's error
+    rate on a word's top 53 bits, ceil(rate * 2**53)."""
 
-    rate: np.ndarray
     gate: np.ndarray
     qubit: np.ndarray
-    end: np.ndarray
     below: np.ndarray
 
     @classmethod
@@ -154,123 +133,44 @@ class _Slots(NamedTuple):
         width = np.concatenate(widths)
         wide = np.repeat(width > 1, width).astype(np.intp)
         gate = np.repeat(np.arange(len(width)), width)
-        end = np.repeat(np.cumsum(width), width)
-        rates = np.array([config.p1, config.p2])
         bounds = np.array([math.ceil(config.p1 * 2**53), math.ceil(config.p2 * 2**53)], dtype=np.uint64)
-        return cls(rates[wide], gate, np.concatenate(qubits), end, bounds[wide])
+        return cls(gate, np.concatenate(qubits), bounds[wide])
 
 
-def _errors(words: np.ndarray, slots: _Slots, spare: int, used: np.ndarray) -> tuple | None:
-    """The Pauli errors of each row's shot, decoded from the row's raw
-    words, as ``(row, slot, pauli)`` arrays.  ``used[r]`` becomes the
-    number of words row r's Pauli draws used.  None as soon as a row
-    needs more than ``spare``: the block must be read again wider.
-
-    Each round takes every row still decoding to its next slot whose
-    word is below the rate, past the words its Pauli draws have used
-    (its shift).  The hits of every shift in use are kept in one sorted
-    array of flat (shift, row, slot) indices, so a round is two
-    ``searchsorted`` calls.  The rest of that slot's gate is used, then
-    its Pauli draws are made, the j-th of every row at once."""
-    rows, size = len(words), len(slots.rate)
-    hits = (words[:, :size] >> 11 < slots.below).ravel().nonzero()[0]
-    if not hits.size:  # no shot errs: nothing to decode
-        return hits, hits, hits
-    last = 2**62  # past every flat index
-    hits, shifts = np.append(hits, last), 1
-    half = np.zeros(rows, dtype=np.uint64)  # a high half left over, or 0
-    pos = np.zeros(rows, dtype=np.intp)  # the row's next slot
-    live = np.arange(rows)
-    found = []
-    while live.size:
-        shift = used[live]
-        if shifts <= (top := shift.max()):
-            new = [
-                (words[:, d : d + size] >> 11 < slots.below).ravel().nonzero()[0] + d * rows * size
-                for d in range(shifts, top + 1)
-            ]
-            hits, shifts = np.concatenate([hits[:-1], *new, [last]]), top + 1
-        base = (shift * rows + live) * size
-        first = np.searchsorted(hits, base + pos[live])
-        slot = hits[first] - base
-        going = slot < size  # otherwise no word below its rate is left
-        live, base, first, slot = live[going], base[going], first[going], slot[going]
-        end = slots.end[slot]
-        count = np.searchsorted(hits, base + end) - first  # the gate's errors
-        pos[live] = end
-        for j in range(count.max(initial=0)):
-            step = count > j
-            drawn, at = live[step], end[step]
-            erred = hits[first[step] + j] - base[step]
-            # integers(3) takes the next nonzero 32-bit half: a carried
-            # half, else a fresh word's low half, else its high half.
-            # A carried half of 0 would be redrawn, so 0 means none.
-            x, half[drawn] = half[drawn], 0
-            todo = np.flatnonzero(x == 0)
-            while todo.size:
-                r = drawn[todo]
-                if used[r].max() >= spare:  # a fresh word would pass the spare
-                    return None
-                word = words[r, at[todo] + used[r]]
-                used[r] += 1
-                lo, hi = word & 0xFFFFFFFF, word >> 32
-                x[todo], half[r] = np.where(lo, lo, hi), np.where(lo, hi, 0)
-                todo = todo[x[todo] == 0]
-            found.append((drawn, erred, x * 3 >> 32))
-    row, slot, pauli = (np.concatenate(v) for v in zip(*found))
-    return row, slot, pauli
-
-
-def _draws(read: Callable[[int, int], np.ndarray], shots: int, slots: _Slots, reads: int, spare: int):
-    """Every shot's Pauli errors, as a list of ``(shot, slot, pauli)``
-    arrays, and its ``(shots, reads)`` readout uniforms.  ``read(i, k)``
-    gives the first k raw words of shot i's stream.
-
-    The shots are decoded in blocks of at most ``_BLOCK_WORDS`` raw
-    words, one row per shot: its slots' words, its readout words and
-    ``spare`` words for its Pauli draws, which come before the readout.
-    A block in which some shot's draws need more is read again whole,
-    with the spare doubled (by at least one word)."""
-    size = len(slots.rate)
-    found, readout, start = [], np.empty((shots, reads)), 0
-    while start < shots:
-        width = size + reads + spare
-        rows = min(max(1, _BLOCK_WORDS // width), shots - start)
-        words = np.empty((rows, width), dtype=np.uint64)
-        for r in range(rows):
-            words[r] = read(start + r, width)
-        used = np.zeros(rows, dtype=np.intp)
-        if (errors := _errors(words, slots, spare, used)) is None:
-            spare = max(2 * spare, spare + 1)
-            continue
-        row, slot, pauli = errors
-        if row.size:
-            found.append((row + start, slot, pauli))
-        at = size + used[:, None] + np.arange(reads)
-        readout[start : start + rows] = (np.take_along_axis(words, at, 1) >> 11) * 2.0**-53
-        start += rows
-    return found, readout
-
-
-def _pauli_strings(n: int, slots: _Slots, shots: int, found: list) -> dict:
-    """The errors grouped by (gate, shot) into Pauli strings: for each
-    gate that has any, the shots' columns, flipped bits, negated bits
-    and Y counts.  X flips its qubit, Z negates it and Y = iXZ does
-    both; the qubits of one gate are distinct, so a sum of bits is
-    their OR, exact in any order."""
+def _draws(key: int, first: int, shots: int, slots: _Slots, reads: int) -> tuple:
+    """Shots ``first`` to ``first + shots - 1`` of ``key``'s stream: their
+    Pauli errors, as ``(shot, slot, pauli)`` arrays with shots counted
+    from ``first``, and their ``(shots, reads)`` readout uniforms.  The
+    words are read in blocks of whole shots, each shifted to u = w >> 11
+    in place."""
+    size = len(slots.below)
+    width = size + reads
+    rows = max(1, _BLOCK_WORDS // width)
+    found, readout = [], np.empty((shots, reads))
+    for start in range(0, shots, rows):
+        count = min(rows, shots - start)
+        words = _PHILOX.raw(key, (first + start) * width)(count * width).reshape(count, width)
+        words >>= 11
+        row, slot = np.divmod(np.flatnonzero(words[:, :size] < slots.below), size)
+        found.append((row + start, slot, 3 * words[row, slot] // slots.below[slot]))
+        readout[start : start + count] = words[:, size:] * 2.0**-53
     shot, slot, pauli = (np.concatenate(v) for v in zip(*found))
+    return shot, slot, pauli, readout
+
+
+def _pauli_strings(n: int, slots: _Slots, shots: int, shot, slot, pauli) -> tuple:
+    """The errors grouped by (gate, shot) into Pauli strings, as arrays
+    sorted by gate, then shot: the gate, the shot's column, the flipped
+    bits, the negated bits and the Y count.  X flips its qubit, Z negates
+    it and Y = iXZ does both; the qubits of one gate are distinct, so a
+    sum of bits is their OR, exact in any order."""
     key, string = np.unique(slots.gate[slot] * shots + shot, return_inverse=True)
     qubit = slots.qubit[slot]
     bits = (pauli < 2).astype(np.intp) << qubit | (pauli > 0).astype(np.intp) << (qubit + n)
     code = np.bincount(string, weights=bits).astype(np.intp)  # exact: 2n < 53 bits
     flip, negate = code & (2**n - 1), code >> n
-    ys = np.bitwise_count(flip & negate)
     gate, col = np.divmod(key, shots)
-    cuts = [0, *(np.flatnonzero(gate[1:] != gate[:-1]) + 1).tolist(), len(gate)]
-    return {
-        int(gate[a]): (col[a:b], flip[a:b], negate[a:b], ys[a:b])
-        for a, b in zip(cuts, cuts[1:])
-    }
+    return gate, col, flip, negate, np.bitwise_count(flip & negate)
 
 
 def _apply_paulis(amps: np.ndarray, cols, flip, negate, ys) -> None:
@@ -342,13 +242,13 @@ def _trajectories(
     circ: Circuit,
     config: NoiseConfig,
     shots: int,
-    keys: Callable[[int, int], Sequence[int]],
+    key: int,
     qubits: Iterable[int] | None,
 ) -> dict[str, int]:
     """Each measured bitstring's shot count, in order of its first shot,
-    where ``keys(start, stop)`` gives the Philox keys of shots start to
-    stop - 1.  This is the only trajectory path.  A chunk's outcomes are
-    tallied in one pass; a bitstring is rendered once per outcome."""
+    for shots 0 to ``shots`` - 1 of ``key``'s stream.  This is the only
+    trajectory path.  A chunk's outcomes are tallied in one pass; a
+    bitstring is rendered once per outcome."""
     n = circ.num_qubits
     slots = _Slots.of(circ, config)
     qubits = _subset(n, qubits)  # checked before any work
@@ -363,26 +263,23 @@ def _trajectories(
     size = max(1, _CHUNK_AMPS >> n)
     tally: dict[int, int] = {}
     for start in range(0, shots, size):
-        chunk = keys(start, min(shots, start + size))
-        read = lambda i, k: _PHILOX.raw(chunk[i])(k)  # shot i's first k words
-        found, readout = _draws(read, len(chunk), slots, 1 + len(qubits), _SPARE)
-        strings = _pauli_strings(n, slots, len(chunk), found) if found else {}
-        erring = np.fromiter(strings, np.intp, len(strings))  # increasing
-        amps = np.zeros((2**n, len(chunk)), dtype=complex)
+        cols = min(shots, start + size) - start
+        *found, readout = _draws(key, start, cols, slots, 1 + len(qubits))
+        gates, *strings = _pauli_strings(n, slots, cols, *found)
+        amps = np.zeros((2**n, cols), dtype=complex)
         amps[0] = 1.0  # every column starts in |0...0>
         for offset, segment, copies, local, step in plan:
+            stop = offset + len(segment) * copies
             if local is None:
-                for g, gate in enumerate(segment * copies, offset):
+                cuts = np.searchsorted(gates, np.arange(offset, stop + 1)).tolist()
+                for gate, a, b in zip(segment * copies, cuts, cuts[1:]):
                     _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls, gate.moves)
-                    if g in strings:
-                        _apply_paulis(amps, *strings[g])
+                    if a < b:
+                        _apply_paulis(amps, *(s[a:b] for s in strings))
                 continue
-            a, b = np.searchsorted(erring, (offset, offset + len(segment) * copies))
+            a, b = np.searchsorted(gates, (offset, stop))
             if a < b:  # some shot errs in the run
-                gates = erring[a:b]
-                parts = [strings[g] for g in gates.tolist()]
-                times = np.repeat(gates - offset, [len(cols) for cols, *_ in parts])
-                _apply_run_errors(amps, n, local, len(segment), times, *map(np.concatenate, zip(*parts)))
+                _apply_run_errors(amps, n, local, len(segment), gates[a:b] - offset, *(s[a:b] for s in strings))
             _apply_matrix(amps, n, *step)
         marg = _marginal(amps, n, qubits)
         flips = (readout[:, 1:] < config.readout_flip).dot(1 << np.arange(len(qubits)))
@@ -400,15 +297,15 @@ def run_trajectory(
     seed: int,
     qubits: Iterable[int] | None = None,
 ) -> str:
-    """Execute one noisy shot from the Philox stream keyed by ``seed``;
-    returns the measured bitstring.
+    """Execute one noisy shot, shot 0 of the Philox stream keyed by
+    ``seed``; returns the measured bitstring.
 
     Pauli errors are unitary insertions, so the trajectory state stays
     normalized.  Only the listed qubits are measured (default: all);
     readout flips apply to those bits.
     """
     check_seed("seed", seed, key=True)
-    (bits,) = _trajectories(circ, config, 1, lambda start, stop: (seed,), qubits)
+    (bits,) = _trajectories(circ, config, 1, seed, qubits)
     return bits
 
 
@@ -419,11 +316,11 @@ def noisy_counts(
     seed: int,
     qubits: Iterable[int] | None = None,
 ) -> MeasurementCounts:
-    """Aggregate independent trajectories; trajectory i is keyed by
-    (config.seed, seed, i), so runs are reproducible shot by shot."""
-    # Shot indices are one 32-bit word of each key's hash.
+    """Aggregate independent trajectories: shots 0 to ``shots`` - 1 of the
+    stream keyed by ``derive_seed(config.seed, seed)``, so runs are
+    reproducible shot by shot."""
     check_number("shots", shots, low=1, high=2**32)
     check_seed("config.seed", config.seed)
     check_seed("seed", seed)
-    keys = lambda start, stop: _derive_seeds(config.seed, seed, np.arange(start, stop))
-    return MeasurementCounts(_trajectories(circ, config, shots, keys, qubits), shots)
+    key = derive_seed(config.seed, seed)
+    return MeasurementCounts(_trajectories(circ, config, shots, key, qubits), shots)

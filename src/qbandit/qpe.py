@@ -211,8 +211,10 @@ def error_bound(n: int, a: float) -> float:
 
 def qsample_count(n: int) -> int:
     """Environment-circuit applications in one run: one initial A plus an
-    A and an Adj(A) inside each of the 2^n - 1 Grover applications."""
-    check_number("n", n, low=1)
+    A and an Adj(A) inside each of the 2^n - 1 Grover applications.  n
+    is refused above 1022, the largest n whose count converts to a finite
+    float, before 2**n is built."""
+    check_number("n", n, low=1, high=1022)
     return 2 * (2**n - 1) + 1
 
 

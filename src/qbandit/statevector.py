@@ -57,6 +57,8 @@ sampler, the synthesized dataset and the Monte Carlo baseline hold at
 most ``_BLOCK_WORDS`` words of a stream at once: they read their
 uniforms through ``_PHILOX.blocks``, and the sampler counts each block
 at the CDF's edges, so its memory is O(block + outcomes), not O(shots).
+Noisy trajectories read one stream per call too, its raw words in
+blocks of whole shots (``noise._draws``).
 
 All operations are pure: they take a state in and return a new one.
 A circuit object simulates itself from |0...0> at most once, on first
@@ -123,64 +125,13 @@ _MATRICES = {
 def derive_seed(*parts: int) -> int:
     """Deterministically derive a child seed from integer components.
 
-    Used to give every (iteration, arm) evaluation and every noise
-    trajectory its own reproducible random stream.
+    Used to give every (iteration, arm) evaluation and every noisy call
+    its own reproducible random stream.
     """
     for i, part in enumerate(parts):
         check_seed(f"seed part {i}", part)
     seq = np.random.SeedSequence([int(p) for p in parts])
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-# SeedSequence's hash constants, from numpy's random/bit_generator.pyx.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL_WORDS = 4
-
-
-def _derive_seeds(a: int, b: int, indices: np.ndarray) -> np.ndarray:
-    """``derive_seed(a, b, i)`` for every i in ``indices``, at once, for
-    parts the caller has already checked; each i must be below 2**32.
-
-    This is ``SeedSequence([a, b, i]).generate_state(1, np.uint64)``
-    with numpy's 32-bit hash-mix run on arrays, one element per i.  The
-    entropy is each part's 32-bit words, least significant first."""
-    words = [
-        np.full(len(indices), (part >> shift) & 0xFFFFFFFF, dtype=np.uint32)
-        for part in (int(a), int(b))
-        for shift in range(0, max(32, part.bit_length()), 32)
-    ]
-    words.append(np.asarray(indices, dtype=np.uint32))
-    words += [np.zeros(len(indices), dtype=np.uint32)] * (_POOL_WORDS - len(words))
-
-    def hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-        def hashmix(value: np.ndarray) -> np.ndarray:
-            nonlocal const
-            value = value ^ const
-            const = const * mult & 0xFFFFFFFF
-            value = value * const
-            return value ^ value >> 16
-
-        return hashmix
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * _MIX_L - y * _MIX_R
-        return result ^ result >> 16
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words[:_POOL_WORDS]]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for extra in words[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(extra))
-    # generate_state: two 32-bit words, low then high, make one uint64.
-    state = hasher(_INIT_B, _MULT_B)
-    low, high = (state(word).astype(np.uint64) for word in pool[:2])
-    return low | high << 32
 
 
 _UNIT_PHASES = (1, -1, 1j, -1j)
@@ -306,8 +257,8 @@ _PHILOX = _Philox()
 # A block of raw words holds at most this many (512 KB of uint64), so a
 # sampler's memory does not grow with the stream it reads.  Every reader
 # of uniforms takes them in blocks of this size (``_Philox.blocks``); the
-# noisy decode puts as many shots' rows in one block as fit, or one row
-# if that is longer.
+# noisy draws read as many whole shots' words in one block as fit, or
+# one shot if that is longer.
 _BLOCK_WORDS = 2**16
 
 

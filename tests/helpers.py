@@ -16,6 +16,7 @@ from qbandit.statevector import (
     _bitstring,
     _draw,
     _marginal,
+    derive_seed,
     h,
     new_state,
     phase,
@@ -79,29 +80,53 @@ def assert_same_steps(got, want):
             assert (a.targets, a.controls, a.moves) == (b.targets, b.controls, b.moves)
 
 
-def reference_trajectory(circ: Circuit, config, seed: int, qubits=None) -> str:
-    """One noisy shot, gate by gate: the independent oracle for the
-    batched trajectories in ``qbandit.noise``.  Per gate it applies the
-    gate, draws one uniform per touched qubit and, for each one below the
-    rate, one Pauli index; then it measures and flips readout bits."""
+def stream_words(key: int, start: int, count: int) -> np.ndarray:
+    """Raw words ``start`` to ``start + count - 1`` of a new Philox stream
+    keyed by ``key``, by numpy's own ``advance``: four words a counter."""
+    bitgen = np.random.Philox(key=key)
+    bitgen.advance(start // 4)
+    bitgen.random_raw(start % 4)
+    return bitgen.random_raw(count)
+
+
+def reference_trajectory(circ: Circuit, config, seed: int, qubits=None, shot: int = 0) -> str:
+    """Shot ``shot`` of the stream keyed by ``seed``, gate by gate: the
+    oracle for the batched trajectories in ``qbandit.noise``.  The shot
+    reads its W words from word shot * W on, W being one per (gate,
+    touched qubit), one for the measurement and one per measured qubit.
+    Per gate it applies the gate and, for each touched qubit whose word
+    has u = w >> 11 below B = ceil(rate * 2**53), the Pauli 3u // B; then
+    it measures with the next word's uniform u * 2**-53 and flips each
+    measured bit whose word's uniform is below the readout rate."""
     n = circ.num_qubits
-    rng = np.random.Generator(np.random.Philox(key=seed))
     amps = new_state(n).amps
+    measured = n if qubits is None else len(tuple(qubits))
+    width = sum(len(gate.qubits) for gate in circ.gates) + 1 + measured
+    words = iter(int(w) >> 11 for w in stream_words(seed, shot * width, width))
     for gate in circ.gates:
         _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls)
         touched = gate.qubits
-        rate = config.p1 if len(touched) == 1 else config.p2
-        draws = rng.random(len(touched))
-        for qubit, u in zip(touched, draws):
-            if u < rate:
-                _apply_matrix(amps, n, _PAULIS[rng.integers(3)], (qubit,), ())
+        below = math.ceil((config.p1 if len(touched) == 1 else config.p2) * 2**53)
+        for qubit, u in zip(touched, words):
+            if u < below:
+                _apply_matrix(amps, n, _PAULIS[3 * u // below], (qubit,), ())
     marg = _marginal(amps, n, qubits)
-    m = int(_draw(marg, rng.random(1))[0])
-    flips = rng.random(marg.size.bit_length() - 1) < config.readout_flip
-    for j, flip in enumerate(flips):
-        if flip:
+    m = int(_draw(marg, np.array([next(words) * 2.0**-53]))[0])
+    for j, u in enumerate(words):
+        if u * 2.0**-53 < config.readout_flip:
             m ^= 1 << j
     return _bitstring(m, marg)
+
+
+def reference_counts(circ: Circuit, shots: int, config, seed: int, qubits=None) -> dict[str, int]:
+    """``noisy_counts``' counts, in first-seen order, one
+    ``reference_trajectory`` a shot from the stream keyed by
+    ``derive_seed(config.seed, seed)``."""
+    key, counts = derive_seed(config.seed, seed), {}
+    for i in range(shots):
+        bits = reference_trajectory(circ, config, key, qubits, shot=i)
+        counts[bits] = counts.get(bits, 0) + 1
+    return counts
 
 
 def channel_distribution(circ: Circuit, config, qubits=None) -> np.ndarray:
@@ -167,21 +192,18 @@ def assert_multinomial(counts: dict[str, int], probs: np.ndarray, shots: int) ->
 
 
 def reference_slots(circ: Circuit, config) -> tuple[np.ndarray, ...]:
-    """``(rate, gate, qubit, end, below)``, one entry per (gate, touched
-    qubit), read off ``circ.gates`` one gate at a time: the oracle for
+    """``(gate, qubit, below)``, one entry per (gate, touched qubit), read
+    off ``circ.gates`` one gate at a time: the oracle for
     ``noise._Slots.of``, which builds them run by run."""
-    rate, gate, qubit, end, below = [], [], [], [], []
+    gate, qubit, below = [], [], []
     bounds = (math.ceil(config.p1 * 2**53), math.ceil(config.p2 * 2**53))
     for g, op in enumerate(circ.gates):
         touched = op.qubits
-        k = len(touched)
-        rate += [config.p1 if k == 1 else config.p2] * k
-        below += [bounds[k > 1]] * k
-        gate += [g] * k
+        below += [bounds[len(touched) > 1]] * len(touched)
+        gate += [g] * len(touched)
         qubit += touched
-        end += [len(qubit)] * k
-    ints = (np.array(v, dtype=np.intp) for v in (gate, qubit, end))
-    return (np.array(rate, dtype=float), *ints, np.array(below, dtype=np.uint64))
+    ints = (np.array(v, dtype=np.intp) for v in (gate, qubit))
+    return (*ints, np.array(below, dtype=np.uint64))
 
 
 def fresh_uniforms(seed: int, count: int) -> np.ndarray:

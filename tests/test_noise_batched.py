@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit, reference_trajectory
+from helpers import random_circuit, reference_counts, reference_trajectory
 from qbandit import noise
 from qbandit.noise import NoiseConfig, noisy_counts, run_trajectory
 from qbandit.statevector import (
@@ -12,7 +12,6 @@ from qbandit.statevector import (
     StateVector,
     apply_circuit,
     circuit_unitary,
-    derive_seed,
     h,
     phase,
     ry,
@@ -52,14 +51,6 @@ def cases(draw):
     return circ, config, draw(st.integers(1, 60)), draw(st.integers(0, 10**6)), qubits
 
 
-def reference_counts(circ, shots, config, seed, qubits):
-    counts = {}
-    for i in range(shots):
-        bits = reference_trajectory(circ, config, derive_seed(config.seed, seed, i), qubits)
-        counts[bits] = counts.get(bits, 0) + 1
-    return counts
-
-
 @settings(max_examples=80, deadline=None)
 @given(cases())
 def test_noisy_counts_match_reference(case):
@@ -76,7 +67,7 @@ def test_run_trajectory_matches_reference(case):
     assert run_trajectory(circ, config, seed, qubits) == reference_trajectory(circ, config, seed, qubits)
 
 
-def test_chunks_blocks_and_spare_words_do_not_change_counts(monkeypatch):
+def test_chunks_and_blocks_do_not_change_counts(monkeypatch):
     rng = np.random.default_rng(5)
     circ = random_circuit(4, 40, rng)
     config = NoiseConfig(p1=0.01, p2=0.1, readout_flip=0.05, seed=2)
@@ -85,13 +76,10 @@ def test_chunks_blocks_and_spare_words_do_not_change_counts(monkeypatch):
     # Seven shots per chunk gives eight chunks, the last one short.
     monkeypatch.setattr(noise, "_CHUNK_AMPS", 7 * 2**4)
     assert noisy_counts(circ, 50, config, 11).counts == whole
-    # One spare word, fewer than most shots' Pauli draws take, so those
-    # shots are read again in wider rows.
-    monkeypatch.setattr(noise, "_SPARE", 1)
-    assert noisy_counts(circ, 50, config, 11).counts == whole
-    # Blocks of a few rows (rows are at most 2 * 40 + 5 + 1 words), then
-    # of one row, however wide.
-    for cap in (3 * (len(circ) * 2 + 5 + 1), 1):
+    # Blocks of three shots and of two, each chunk of seven ending in a
+    # short one, then of one shot, however wide.
+    width = sum(len(g.qubits) for g in circ.gates) + 1 + 4
+    for cap in (3 * width, 2 * width + 1, 1):
         monkeypatch.setattr(noise, "_BLOCK_WORDS", cap)
         assert noisy_counts(circ, 50, config, 11).counts == whole
 

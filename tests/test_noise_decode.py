@@ -1,12 +1,15 @@
-"""The noise path decodes numpy's Generator draws from raw Philox words,
-and its batched Pauli errors and readout match the one-state kernels."""
+"""The noise path decodes its draws from raw Philox words, one word per
+slot, by index in one stream per call, and its batched Pauli errors and
+readout match the one-state kernels."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit, reference_trajectory
+from helpers import random_circuit, reference_counts, reference_trajectory
 from qbandit import noise
 from qbandit.bandit import BanditParams, PolicySpec, angle_from_frequency
 from qbandit.noise import (
@@ -28,105 +31,80 @@ from qbandit.qpe import (
     run_qpe,
 )
 from qbandit.statevector import Circuit, _apply_matrix, _draw, _marginal, h, unitary
-from test_noise_batched import reference_counts
 
-ALWAYS = NoiseConfig(p1=1.0, p2=1.0, readout_flip=0.0)
-
-
-def philox(words=(), key=7):
-    """A Philox bit generator whose first words are ``words`` (at most
-    four, placed in its output buffer), then the stream keyed by ``key``."""
-    bitgen = np.random.Philox(key=key)
-    state = bitgen.state
-    state["buffer"] = np.zeros(4, dtype=np.uint64)
-    state["buffer"][4 - len(words) :] = words
-    state["buffer_pos"] = 4 - len(words)
-    bitgen.state = state
-    return bitgen
+JUNK = 0x7FF  # the low 11 bits, which no draw reads
 
 
-def generator_draws(bitgen, slots, readout):
-    """A shot's errors and readout uniforms drawn gate by gate from
-    numpy's Generator, as ``helpers.reference_trajectory`` draws them."""
-    rng = np.random.Generator(bitgen)
-    errors, start = [], 0
-    while start < len(slots.rate):
-        end = slots.end[start]
-        for s, u in enumerate(rng.random(end - start), start=start):
-            if u < slots.rate[s]:
-                errors.append((s, int(rng.integers(3))))
-        start = end
-    return errors, rng.random(readout)
+class WordsPhilox:
+    """``_PHILOX`` whose every stream is the hand-built ``words``."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def raw(self, key, start=0):
+        return lambda count: self.words[start : start + count].copy()
 
 
-def decoded_draws(make_bitgen, slots, readout, spare):
-    """A shot's errors and readout uniforms as ``noise._draws`` decodes
-    them from raw words, and how many times it read the stream: a row
-    too short for the shot's Pauli draws is read again from the start."""
-    reads = []
-
-    def read(i, k):
-        reads.append(k)
-        return make_bitgen().random_raw(k)
-
-    found, uniforms = _draws(read, 1, slots, readout, spare)
-    # One error per slot, so slot order is stream order.
-    errors = sorted((int(s), int(p)) for _, slot, pauli in found for s, p in zip(slot, pauli))
-    return errors, uniforms[0], len(reads)
+def decode(monkeypatch, words, slots, shots, reads):
+    """``_draws`` of ``shots`` shots from ``words``: (shot, slot, pauli)
+    triples in stream order, and the readout uniforms."""
+    monkeypatch.setattr(noise, "_PHILOX", WordsPhilox(words))
+    shot, slot, pauli, readout = _draws(0, 0, shots, slots, reads)
+    return list(zip(shot.tolist(), slot.tolist(), pauli.tolist())), readout
 
 
-def assert_same_draws(make_bitgen, slots, readout=2, spare=noise._SPARE):
-    want_errors, want_readout = generator_draws(make_bitgen(), slots, readout)
-    got_errors, got_readout, reads = decoded_draws(make_bitgen, slots, readout, spare)
-    assert got_errors == want_errors
-    assert np.array_equal(got_readout, want_readout)
-    return got_errors, reads
+def word(u):
+    """A word whose top 53 bits are ``u``."""
+    return u << 11 | JUNK
 
 
-def one_qubit_gates(count):
-    return _Slots.of(Circuit(1, tuple(h(0) for _ in range(count))), ALWAYS)
+def one_qubit_gates(count, rate):
+    return _Slots.of(Circuit(1, tuple(h(0) for _ in range(count))), NoiseConfig(p1=rate))
 
 
-def test_high_half_is_carried_to_the_next_gates_pauli():
-    # Gate 0 errs and takes the low half of word 1.  Gate 1's uniform is
-    # word 2; it errs and uses word 1's high half, so gate 2's uniform is
-    # word 3.
-    low, high = 0x8000_0000, 0xC000_0000
-    words = [5, (high << 32) | low, 7, 9]
-    errors, _ = assert_same_draws(lambda: philox(words), one_qubit_gates(3))
-    assert errors[:2] == [(0, (low * 3) >> 32), (1, (high * 3) >> 32)]
+def test_hand_built_words_by_slot_and_shot(monkeypatch):
+    # Rate 1/2: B = 2**52 = 3k + 1, so u = k is Pauli 0, u = k + 1 is
+    # Pauli 1, B - 1 is Pauli 2 and B errs no more.  Each shot owns four
+    # words: three slots, then its measurement word.
+    big, k = 2**52, (2**52 - 1) // 3
+    slots = one_qubit_gates(3, 0.5)
+    words = [word(k), word(k + 1), word(big), word(0), word(big - 1), word(2**53 - 1), word(big), word(2**52)]
+    errors, readout = decode(monkeypatch, words, slots, 2, 1)
+    assert errors == [(0, 0, 0), (0, 1, 1), (1, 0, 2)]
+    assert readout.tolist() == [[0.0], [0.5]]
 
 
-def test_zero_half_is_redrawn():
-    # A low half of 0 is Lemire's one rejected value for integers(3):
-    # the draw moves on to the high half, and a zero word moves on twice.
-    high = 0x5555_5556
-    errors, _ = assert_same_draws(lambda: philox([1, high << 32, 2, 0]), one_qubit_gates(3))
-    assert errors[0] == (0, (high * 3) >> 32) == (0, 1)
-    errors, _ = assert_same_draws(lambda: philox([1, 0, 3 << 32]), one_qubit_gates(2))
-    assert errors[0] == (0, 0)
-
-
-def test_uniform_edges():
+def test_uniform_edges(monkeypatch):
     # Word 0 is the uniform 0.0: below any positive rate, never below 0.
-    # The all-ones word is the largest uniform below 1.0.
+    # The all-ones word is the largest uniform below 1.0, below rate 1,
+    # and its Pauli is Z.
     slots = _Slots.of(Circuit(2, (h(0), h(0).controlled(1))), NoiseConfig(p1=0.0, p2=1.0))
     top = 2**64 - 1
-    errors, _ = assert_same_draws(lambda: philox([0, top, 0]), slots)
-    assert [s for s, _ in errors] == [1, 2]
+    errors, readout = decode(monkeypatch, [0, top, 0, top, 0, top], slots, 1, 3)
+    assert errors == [(0, 1, 2), (0, 2, 0)]
+    assert readout.tolist() == [[1 - 2.0**-53, 0.0, 1 - 2.0**-53]]
 
 
-@pytest.mark.parametrize("spare", [1, 2, 3, 5])
-def test_reread_past_the_spare_words(spare):
-    rng = np.random.default_rng(spare)
-    for rate in (0.05, 0.4, 1.0):
-        slots = _Slots.of(random_circuit(3, 12, rng), NoiseConfig(p1=rate, p2=rate))
-        for key in range(20):
-            _, reads = assert_same_draws(lambda: philox(key=key), slots, readout=4, spare=spare)
-        # A hand-built zero half among the spare words as well.
-        assert_same_draws(lambda: philox([0, 1 << 32, 0, 5]), slots, readout=4, spare=spare)
-        if rate == 1.0:  # every slot errs, so the draws outrun the spare words
-            assert reads > 1
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(2.0**-40, 1.0))
+def test_each_pauli_is_within_1_over_b_of_a_third(rate):
+    # 3u // B is monotone in u, so Pauli j takes u from ceil(j B / 3) up
+    # to ceil((j + 1) B / 3): the words either side of each edge decode
+    # to either side of it, and each share is within 1/B of 1/3.
+    b = math.ceil(rate * 2**53)
+    edges = [0, -(-b // 3), -(-2 * b // 3), b]
+    us = sorted({u for e in edges[1:3] for u in (e - 1, e)} | {0, b - 1})
+    with pytest.MonkeyPatch.context() as patch:
+        errors, _ = decode(patch, [word(u) for u in us], one_qubit_gates(len(us), rate), 1, 0)
+    assert [p for _, _, p in errors] == [sum(u >= e for e in edges[1:3]) for u in us]
+    for lo, hi in zip(edges, edges[1:]):
+        assert abs((hi - lo) / b - 1 / 3) <= 1 / b
+
+
+def test_words_past_the_rate_never_err(monkeypatch):
+    b = math.ceil(0.05 * 2**53)
+    errors, _ = decode(monkeypatch, [word(b), word(b - 1), word(2**53 - 1)], one_qubit_gates(3, 0.05), 1, 0)
+    assert errors == [(0, 1, 2)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,8 +127,10 @@ def test_pauli_strings_match_the_matrices_bitwise(width, seed, paulis, batch):
     # One gate on the qubits, erring in every slot of each listed column.
     slots = _Slots.of(Circuit(width, (unitary(np.eye(2 ** len(qubits)), qubits),)), NoiseConfig())
     slot = np.arange(len(paulis))
-    found = [(np.repeat(cols, len(slot)), np.tile(slot, len(cols)), np.tile(paulis, len(cols)))]
-    _apply_paulis(amps, *_pauli_strings(width, slots, batch, found)[0])
+    found = (np.repeat(cols, len(slot)), np.tile(slot, len(cols)), np.tile(paulis, len(cols)))
+    gates, *strings = _pauli_strings(width, slots, batch, *found)
+    assert gates.tolist() == [0] * len(cols)
+    _apply_paulis(amps, *strings)
     assert np.array_equal(amps, want)
 
 
@@ -182,7 +162,7 @@ def test_batched_draw_on_a_cdf_step():
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64 + 5, 2**128 - 1])
 def test_rekeyed_stream_matches_a_fresh_philox(seed):
-    # Each shot re-keys one bit generator; a wide key uses both key words.
+    # Each call keys one bit generator; a wide key uses both key words.
     circ = random_circuit(3, 20, np.random.default_rng(1))
     config = NoiseConfig(p1=0.3, p2=0.3, readout_flip=0.2)
     assert run_trajectory(circ, config, seed) == reference_trajectory(circ, config, seed)

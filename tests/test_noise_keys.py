@@ -1,43 +1,19 @@
-"""The noise path's keys and memory: each chunk of shots derives its
-Philox keys in one array pass, and the raw words are read in blocks of
-bounded size, freed before the gates run."""
+"""The noise path's stream and memory: each call reads one keyed Philox
+stream, its raw words in blocks of bounded size, freed before the gates
+run."""
 
 import tracemalloc
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qbandit import noise
 from qbandit.bandit import BanditParams, PolicySpec, angle_from_frequency
 from qbandit.noise import NoiseConfig, noisy_counts
 from qbandit.qpe import build_grover_operator, build_qpe_circuit, build_state_prep, eval_qubits
-from qbandit.statevector import Circuit, _derive_seeds, derive_seed, h
-
-# Seed parts of one, two, and three or more 32-bit words.
-PARTS = st.one_of(
-    st.just(0),
-    st.integers(1, 2**32 - 1),
-    st.integers(2**32, 2**64 - 1),
-    st.integers(2**64, 2**130),
-)
-INDICES = st.lists(
-    st.integers(0, 2**32 - 1) | st.sampled_from([0, 1, 2**31, 2**32 - 1]), min_size=1, max_size=20
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(PARTS, PARTS, INDICES)
-def test_array_keys_match_derive_seed(a, b, indices):
-    keys = _derive_seeds(a, b, np.array(indices, dtype=np.int64))
-    assert keys.dtype == np.uint64
-    assert keys.tolist() == [derive_seed(a, b, i) for i in indices]
-
+from qbandit.statevector import Circuit, derive_seed, h
 
 def test_shot_counts_past_32_bits_are_refused_up_front(monkeypatch):
-    # A shot's index is one 32-bit word of its key's hash.  The refusal
-    # comes before any key is derived or any trajectory runs.
+    # The refusal comes before any key is derived or any trajectory runs.
     def no_work(*args):
         raise AssertionError("trajectories started")
 
@@ -52,18 +28,35 @@ def qpe_circuit(n):
     return build_qpe_circuit(build_grover_operator(build_state_prep(policy, params)), n)
 
 
+class RecordingPhilox:
+    """``_PHILOX`` that records each read's key, first word and size."""
+
+    def __init__(self, inner):
+        self.inner, self.reads = inner, []
+
+    def raw(self, key, start=0):
+        read = self.inner.raw(key, start)
+
+        def recorded(count):
+            self.reads.append((key, start, count))
+            return read(count)
+
+        return recorded
+
+
 @pytest.mark.parametrize("shots", [300, 3000])
 def test_word_blocks_are_capped_whatever_the_shot_count(monkeypatch, shots):
-    sizes = []
-
-    def recording(words, *args):
-        sizes.append(words.size)
-        return errors(words, *args)
-
-    errors = noise._errors
-    monkeypatch.setattr(noise, "_errors", recording)
-    noisy_counts(qpe_circuit(3), shots, NoiseConfig(), 5, eval_qubits(3))
+    philox = RecordingPhilox(noise._PHILOX)
+    monkeypatch.setattr(noise, "_PHILOX", philox)
+    config = NoiseConfig()
+    noisy_counts(qpe_circuit(3), shots, config, 5, eval_qubits(3))
+    # One stream, read from word 0 to the last shot's last word, in order.
+    keys, starts, sizes = zip(*philox.reads)
+    assert set(keys) == {derive_seed(config.seed, 5)}
     assert 1 < len(sizes) and max(sizes) <= noise._BLOCK_WORDS
+    assert starts == tuple(sum(sizes[:i]) for i in range(len(sizes)))
+    width = len(noise._Slots.of(qpe_circuit(3), config).gate) + 1 + 3
+    assert sum(sizes) == shots * width and all(size % width == 0 for size in sizes)
 
 
 def test_noisy_qpe_peak_memory():

@@ -5,11 +5,10 @@ bitstring is rendered once per distinct outcome, not once per shot."""
 import numpy as np
 import pytest
 
-from helpers import random_circuit
+from helpers import random_circuit, reference_counts
 from qbandit import noise
 from qbandit.noise import NoiseConfig, noisy_counts
 from qbandit.statevector import Circuit, h
-from test_noise_batched import reference_counts
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3, 7])
@@ -17,9 +16,9 @@ def test_first_seen_order_holds_across_chunks(monkeypatch, per_chunk):
     circ = random_circuit(3, 12, np.random.default_rng(8))
     config = NoiseConfig(p1=0.05, p2=0.2, readout_flip=0.2, seed=3)
     want = list(reference_counts(circ, 40, config, 0, (2, 0)).items())
-    # Shots 0, 1 and 2 read 10, 11 and 00, out of increasing order, and
-    # 01 comes first at shot 10, past the first chunk at every size.
-    assert [bits for bits, _ in want] == ["10", "11", "00", "01"]
+    # Shots 0, 1 and 3 read 00, 11 and 01, out of increasing order, and
+    # 10 comes first at shot 24, past the first chunk at every size.
+    assert [bits for bits, _ in want] == ["00", "11", "01", "10"]
     monkeypatch.setattr(noise, "_CHUNK_AMPS", per_chunk * 2**3)
     assert list(noisy_counts(circ, 40, config, 0, (2, 0)).counts.items()) == want
 

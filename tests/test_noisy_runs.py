@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit, reference_slots, reference_trajectory
+from helpers import random_circuit, reference_counts, reference_slots, reference_trajectory
 from qbandit import noise
 from qbandit.bandit import BanditParams, PolicySpec
 from qbandit.noise import NoiseConfig, noisy_counts, run_trajectory
 from qbandit.qpe import build_grover_operator, build_qpe_circuit, build_state_prep
-from qbandit.statevector import Circuit, _apply_matrix, derive_seed, h, phase, ry, unitary, x
+from qbandit.statevector import Circuit, _apply_matrix, h, phase, ry, unitary, x
 
 # (p1, p2): zero, the defaults, 0.3 and 3/4, at which one copy of one
 # shot's run has several errors.
@@ -73,14 +73,6 @@ QPE = st.builds(qpe_circuit, st.floats(0.0, 1.0), ANGLE, ANGLE, st.integers(1, 4
 CIRCUITS = QPE | runs_circuits()
 
 
-def reference_counts(circ, shots, config, seed):
-    counts = {}
-    for i in range(shots):
-        bits = reference_trajectory(circ, config, derive_seed(config.seed, seed, i))
-        counts[bits] = counts.get(bits, 0) + 1
-    return counts
-
-
 def chunk_states(circ, config, shots, seed):
     """``noisy_counts`` with chunks of three shots: each chunk's errors,
     as ``_draws`` decodes them, and its amplitudes at the readout."""
@@ -88,9 +80,9 @@ def chunk_states(circ, config, shots, seed):
     found, amps = [], []
 
     def recording_draws(*args):
-        errors, readout = draws(*args)
+        *errors, readout = draws(*args)
         found.append(errors)
-        return errors, readout
+        return (*errors, readout)
 
     def recording_marginal(chunk, *args):
         amps.append(chunk.copy())
@@ -109,13 +101,14 @@ def gate_by_gate_with(circ, config, found, cols):
     Pauli strings after it, as the trajectories run a flat gate list."""
     n = circ.num_qubits
     slots = noise._Slots.of(circ, config)
-    strings = noise._pauli_strings(n, slots, cols, found) if found else {}
+    gates, *strings = noise._pauli_strings(n, slots, cols, *found)
     amps = np.zeros((2**n, cols), dtype=complex)
     amps[0] = 1.0
     for g, gate in enumerate(circ.gates):
         _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls, gate.moves)
-        if g in strings:
-            noise._apply_paulis(amps, *strings[g])
+        a, b = np.searchsorted(gates, (g, g + 1))
+        if a < b:
+            noise._apply_paulis(amps, *(s[a:b] for s in strings))
     return amps
 
 
@@ -139,7 +132,7 @@ def test_split_chunks_keep_the_reference_counts_and_amplitudes(circ, config, sho
 @given(CIRCUITS, st.integers(1, 10), SEEDS)
 def test_at_rate_0_every_column_is_the_ideal_state(circ, shots, seed):
     _, found, amps = chunk_states(circ, NoiseConfig(0.0, 0.0, readout_flip=0.3), shots, seed)
-    assert not any(found)
+    assert not any(shot.size for shot, _, _ in found)
     for chunk in amps:
         assert np.abs(chunk - circ.final_state.amps[:, None]).max() < 1e-12
 

@@ -91,6 +91,25 @@ PINS[3] = {
         "qpe_pleft0_n4_ideal.csv": "f8d8f3b1e48200384933ea6ff3df0d354a4ffb2284d1192e0451def7e3295d29",
     },
 }
+# Version 4 moved the noisy QPE CSVs and the histogram figure, when each
+# noisy call began reading one keyed stream with one word per slot, and
+# one training angle by 2.2e-16, when ``angle_from_frequency`` began
+# taking its angle by atan2.
+PINS[4] = {
+    **PINS[3],
+    "training-curves": {
+        **PINS[3]["training-curves"],
+        "angles.csv": "8cfc300231a7a020f56cf9bbf198299b206b429e8540c01d920d69443953b7f6",
+    },
+    "qpe-histograms": {
+        **PINS[3]["qpe-histograms"],
+        "histograms.svg": "3fd8d8c5816d4bbf09e3656058756c8f6da63975d22f0474782ef3a5bce1a5e0",
+        "qpe_pleft0.5_n3_noisy.csv": "c958f45d73185003a84ed7df0dd77d79a6f9e720d5e5a94df5ec11ac213e3ff4",
+        "qpe_pleft0.5_n4_noisy.csv": "ea769617afe57bc228e61c48f1dd866b3415da9dbebc6b42b340f22d7612b3f0",
+        "qpe_pleft0_n3_noisy.csv": "537bdbb10f75ec2546b440892ca6953463369c74e4ea8f36f859e247aae7fb2a",
+        "qpe_pleft0_n4_noisy.csv": "d5c67c8e6bfab09275e3ed7340e47186e1e09842a6ce94ba51f32c92b7666fd9",
+    },
+}
 FIGURES = PINS[OUTPUT_VERSION]
 
 DEMO_STDOUT = {
@@ -98,7 +117,7 @@ DEMO_STDOUT = {
     "02_bandit_circuits.py": "14c08cbda48e8448a8b6591dffb7e5d557172c74165b5fbb9ff082ebce8cd0d1",
     "03_learning_from_data.py": "b2a3487600183d80f09bd45373d278d70256c4f075f72cbf1e2dda0a9ca45245",
     "04_policy_value_estimation.py": "8b1f241774cb3b83204c95b504cb649d6eadaf172a4aaca4edc4d4ad98ce26b6",
-    "05_noise_degradation.py": "d39a8ecf777db7a66a8a396e93fb81dd742c67d2b775dfce8fd91208129fd56d",
+    "05_noise_degradation.py": "2ed0cd0b967714c1cc82f3df34f2f1285617b7d2fa101aba82d5c78c9fc2bfd1",
     "06_quantum_vs_classical_scaling.py": "8a3b44e2175a1704899e0bbbc647f491697e5ba83a5511b20aefd90f07f0bcdf",
 }
 

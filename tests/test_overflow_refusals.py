@@ -2,15 +2,17 @@
 phase-estimation error bound scales by an exact 2^-n, the Hoeffding
 count names ``epsilon`` when it is no finite float, and ``baseline``
 refuses an ``--n-range`` reaching such an n before it makes its
-directory."""
+directory.  ``qsample_count`` refuses n above 1022 before it builds
+2**n."""
 
 import math
+import time
 
 import pytest
 
 from qbandit.baseline import mc_samples_needed
 from qbandit.cli import main
-from qbandit.qpe import error_bound
+from qbandit.qpe import error_bound, qsample_count
 
 
 @pytest.mark.parametrize("a", [0.0, 0.3, 0.45, 0.5, 1.0])
@@ -55,3 +57,17 @@ def test_baseline_runs_up_to_the_last_finite_count(tmp_path):
     assert main(["baseline", "--v", "0", "--n-range", "250..257", "--out", str(out)]) == 0
     assert len((out / "scaling.csv").read_text().splitlines()) == 9
     assert main(["baseline", "--v", "0", "--n-range", "250..258", "--out", str(tmp_path / "past")]) == 1
+
+
+def test_qsample_count_stops_at_the_last_finite_float():
+    assert math.isfinite(float(qsample_count(1022)))
+    with pytest.raises(ValueError, match="^n must be"):
+        qsample_count(1023)
+
+
+def test_qsample_count_refuses_a_huge_n_before_building_its_power():
+    # 2**(10**9) alone took 9.3 s to build.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^n must be"):
+        qsample_count(10**9)
+    assert time.perf_counter() - start < 0.5

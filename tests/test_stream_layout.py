@@ -1,7 +1,8 @@
 """Every module reads its random words through ``statevector._PHILOX``:
 only ``statevector`` names ``np.random`` in code, and no other module
 calls ``_PHILOX.uniforms``, whose whole-prefix reads go through
-``_PHILOX.blocks`` (``noise`` reads ``raw`` words for its per-shot rows)."""
+``_PHILOX.blocks`` (``noise`` reads ``raw`` words in blocks of whole
+shots)."""
 
 import ast
 from pathlib import Path
