@@ -33,7 +33,7 @@ from .backends import BACKENDS, get_backend
 from .bandit import BanditParams, PolicySpec, angle_from_frequency
 from .baseline import mc_samples_needed, monte_carlo_estimate, qpe_qsample_count
 from .noise import NoiseConfig
-from .qpe import QpeConfig, ValueHistogram, error_bound, run_qpe
+from .qpe import MAX_EVAL_QUBITS, QpeConfig, ValueHistogram, error_bound, run_qpe
 from .statevector import check_number, check_real, derive_seed
 from .svg import bar_chart, line_chart, panel_grid
 from .training import (
@@ -370,7 +370,9 @@ def cmd_qpe(args: argparse.Namespace) -> int:
         float(_number(p, "policy.p_left", numbers.Real, 0, 1))
         for p in _as_list(cfg["policy"]["p_left"], "policy.p_left")
     ]
-    n_values = [_number(n, "qpe.n", numbers.Integral) for n in _as_list(cfg["qpe"]["n"], "qpe.n")]
+    n_values = [
+        _number(n, "qpe.n", numbers.Integral, 1, MAX_EVAL_QUBITS) for n in _as_list(cfg["qpe"]["n"], "qpe.n")
+    ]
     backends = [str(b) for b in _as_list(cfg["backend"], "backend")]
     kinds: dict[str, str] = {}
     for name in backends:

@@ -273,7 +273,7 @@ def _trajectories(
             if local is None:
                 cuts = np.searchsorted(gates, np.arange(offset, stop + 1)).tolist()
                 for gate, a, b in zip(segment * copies, cuts, cuts[1:]):
-                    _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls, gate.moves)
+                    _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls)
                     if a < b:
                         _apply_paulis(amps, *(s[a:b] for s in strings))
                 continue

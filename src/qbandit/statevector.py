@@ -12,10 +12,11 @@ Conventions used throughout the package:
 Each gate resolves its matrix once, when it is constructed, and every
 amplitude update (ideal circuits, noisy trajectories and
 ``circuit_unitary``) goes through one kernel, ``_apply_matrix``, which
-takes one state or a batch of states held as columns; the one other is
-the ideal plan's FFT for phase estimation's inverse QFT, below.  The
-marginal and the sampler take a batch too, one state and one uniform per
-column.
+takes one state or a batch of states held as columns and writes
+``matrix @ block`` for every gate, with no special case for any matrix;
+the one other is the ideal plan's FFT for phase estimation's inverse
+QFT, below.  The marginal and the sampler take a batch too, one state
+and one uniform per column.
 
 The ideal paths (``apply_circuit``, ``Circuit.final_state`` and
 ``circuit_unitary``) run a circuit's step plan, ``Circuit.steps``, made
@@ -35,18 +36,6 @@ of the amplitudes (``_Fourier``).  Every other gate is its own step, with
 its own matrix.  Noisy trajectories read a run's power from the same
 local products (``_local``), for single-copy runs too, and move each
 erring shot's errors to the run's start (``noise._apply_run_errors``).
-
-A gate whose matrix is a permutation with unit phases (every nonzero
-entry exactly 1, -1, i or -i: X, SWAP, Z and their controlled forms,
-and any UNITARY payload of that shape) is recognised once, when the
-gate is built, and the kernel moves its amplitudes instead of
-multiplying them.  The bits stay the product's.  Each row of the
-product is one input times exactly 1, -1, i or -i plus terms 0 * a,
-which leave a nonzero part as it is.  The moved values get +0.0 added,
-so every zero is written as +0, as the product writes it on a block of
-one column or of four and more.  (OpenBLAS's product writes some zeros
-of 2- and 3-column blocks as -0; no probability depends on a zero's
-sign.)
 
 Every random stream is Philox (Salmon et al., SC'11) keyed by a seed,
 and its words are addressed by index.  ``_PHILOX`` holds one bit
@@ -132,26 +121,6 @@ def derive_seed(*parts: int) -> int:
         check_seed(f"seed part {i}", part)
     seq = np.random.SeedSequence([int(p) for p in parts])
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-_UNIT_PHASES = (1, -1, 1j, -1j)
-
-
-def _moves(matrix: np.ndarray) -> tuple | None:
-    """``(order, phased)`` when the unitary ``matrix`` is a permutation
-    with unit phases, else None.  Row b of ``matrix @ v`` is then ``phase
-    * v[order[b]]``; ``order`` is None for the identity permutation, and
-    ``phased`` lists ``(b, phase)`` for each row whose phase is not 1."""
-    order, phased = [], []
-    for b, row in enumerate(matrix.tolist()):  # Python scalars: cheaper on a few entries
-        cols = [j for j, entry in enumerate(row) if entry]
-        phase = row[cols[0]] if len(cols) == 1 else 0
-        if phase not in _UNIT_PHASES:
-            return None
-        order.append(cols[0])
-        if phase != 1:
-            phased.append((b, phase))
-    return (None if order == sorted(order) else tuple(order)), tuple(phased)
 
 
 class SimulationError(ValueError):
@@ -270,9 +239,8 @@ class Gate:
     phase gates carry their angle in ``params``; UNITARY carries an
     explicit matrix on up to 3 target qubits.  ``matrix`` is the
     read-only dense matrix on the targets (controls not included),
-    resolved once at construction, and ``moves`` is its ``_moves``: None
-    unless the matrix is a permutation with unit phases.  Two gates are
-    equal when their kind, qubits, params and matrix are.
+    resolved once at construction.  Two gates are equal when their kind,
+    qubits, params and matrix are.
     """
 
     kind: str
@@ -281,7 +249,6 @@ class Gate:
     params: tuple[float, ...] = ()
     payload: np.ndarray | None = field(default=None, compare=False)
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    moves: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_qubits(self.kind, self.targets, self.controls, self.qubits)
@@ -312,7 +279,6 @@ class Gate:
             object.__setattr__(self, "payload", m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "moves", _moves(m))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
@@ -337,9 +303,9 @@ class Gate:
         return replace(self, params=tuple(-p for p in self.params), payload=payload)
 
     def controlled(self, *extra_controls: int) -> Gate:
-        """Same gate with additional control qubits.  Its matrix and moves
-        do not depend on the controls, so the new gate shares them, and
-        only the new controls are checked."""
+        """Same gate with additional control qubits.  Its matrix does not
+        depend on the controls, so the new gate shares it, and only the new
+        controls are checked."""
         controls = self.controls + extra_controls
         _check_qubits(self.kind, self.targets, controls, extra_controls)
         gate = object.__new__(Gate)
@@ -347,12 +313,18 @@ class Gate:
         return gate
 
 
+def _is_index(value) -> bool:
+    """Whether ``value`` may count qubits or name one: an int or a numpy
+    integer, and not a bool."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def _check_qubits(kind: str, targets: tuple, controls: tuple, new: tuple) -> None:
     """Refuse a gate's qubits: any of ``new`` (those not checked before)
     that is not a non-negative integer, targets that overlap controls, and
     a target or a control given twice."""
     for q in new:
-        if type(q) is not int and not isinstance(q, np.integer) or q < 0:  # refuses bools too
+        if not _is_index(q) or q < 0:
             raise SimulationError(f"{kind} gate qubit must be a non-negative integer, got {q!r}")
     if set(targets) & set(controls):
         raise SimulationError(f"targets {targets} and controls {controls} overlap")
@@ -393,7 +365,7 @@ def unitary(matrix: np.ndarray, targets: Iterable[int], *, controls: Iterable[in
 def _check_width(n) -> None:
     """Refuse a register width that is not an integer in [1, MAX_QUBITS];
     numpy integers are accepted, bools are not."""
-    if type(n) is not int and not isinstance(n, np.integer) or not 1 <= n <= MAX_QUBITS:
+    if not _is_index(n) or not 1 <= n <= MAX_QUBITS:
         raise SimulationError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n}")
 
 
@@ -513,17 +485,11 @@ def new_state(num_qubits: int) -> StateVector:
 
 
 @functools.lru_cache(maxsize=4096)
-def _gate_rows(
-    num_qubits: int,
-    targets: tuple[int, ...],
-    controls: tuple[int, ...],
-    order: tuple[int, ...] | None = None,
-) -> np.ndarray:
+def _gate_rows(num_qubits: int, targets: tuple[int, ...], controls: tuple[int, ...]) -> np.ndarray:
     """Index table for a gate: rows[b] lists the basis indices whose target
-    bits spell b (targets[0] least significant), or ``order[b]`` when an
-    order is given, and whose control bits are all 1.  Cached per
-    (register, targets, controls, order) signature; the rows are
-    read-only, so every caller can share them."""
+    bits spell b (targets[0] least significant) and whose control bits are
+    all 1.  Cached per (register, targets, controls) signature; the rows
+    are read-only, so every caller can share them."""
     fixed = set(targets) | set(controls)
     free = [q for q in range(num_qubits) if q not in fixed]
     base = np.zeros(2 ** len(free), dtype=np.intp)
@@ -533,8 +499,8 @@ def _gate_rows(
     base += sum(1 << c for c in controls)
     k = len(targets)
     rows = np.empty((2**k, base.size), dtype=np.intp)
-    for b, bits in enumerate(range(2**k) if order is None else order):
-        rows[b] = base + sum(((bits >> j) & 1) << t for j, t in enumerate(targets))
+    for b in range(2**k):
+        rows[b] = base + sum(((b >> j) & 1) << t for j, t in enumerate(targets))
     rows.setflags(write=False)
     return rows
 
@@ -545,26 +511,13 @@ def _apply_matrix(
     matrix: np.ndarray,
     targets: tuple[int, ...],
     controls: tuple[int, ...],
-    moves: tuple | None = None,
 ) -> None:
-    """The one amplitude update: ``matrix`` on ``targets`` wherever every
-    control is 1, written in place into ``amps``, which is one state
-    ``(2**n,)`` or a batch ``(2**n, B)`` with one state per column.
-
-    ``moves`` is the gate's ``Gate.moves``.  When it is given, the matrix
-    is a permutation with unit phases, and there is no product: one
-    gather of the rows in permuted order, a multiply of each row whose
-    phase is not 1, and one scatter.  Every nonzero part gets the
-    product's bits, and every zero +0 (see the module docstring)."""
+    """The one amplitude update, ``matrix @ block``: ``matrix`` on
+    ``targets`` wherever every control is 1, written in place into
+    ``amps``, which is one state ``(2**n,)`` or a batch ``(2**n, B)`` with
+    one state per column."""
     rows = _gate_rows(num_qubits, targets, controls)
-    if moves is not None:
-        order, phased = moves
-        block = amps[_gate_rows(num_qubits, targets, controls, order)]
-        for b, phase in phased:
-            block[b] *= phase
-        block += 0.0  # writes each zero as +0
-        amps[rows] = block
-    elif amps.ndim == 1:
+    if amps.ndim == 1:
         amps[rows] = matrix @ amps[rows]
     else:
         # One product for every column.  A single state skips these
@@ -591,7 +544,7 @@ def _apply_gates(amps: np.ndarray, circ: Circuit) -> np.ndarray:
         if type(step) is _Fourier:
             _apply_fourier(amps, circ.num_qubits, step)
         else:
-            _apply_matrix(amps, circ.num_qubits, step.matrix, step.targets, step.controls, step.moves)
+            _apply_matrix(amps, circ.num_qubits, step.matrix, step.targets, step.controls)
     return amps
 
 
@@ -639,7 +592,6 @@ class _Step(NamedTuple):
     matrix: np.ndarray
     targets: tuple[int, ...]
     controls: tuple[int, ...]
-    moves: tuple | None
 
 
 # A folded run may touch at most this many qubits, UNITARY's limit: its
@@ -673,8 +625,7 @@ class _Local(NamedTuple):
 
     def step(self, m: int) -> _Step:
         """One kernel call for ``m`` copies of the segment."""
-        matrix = self.power(m)
-        return _Step(matrix, self.qubits, (), _moves(matrix))
+        return _Step(self.power(m), self.qubits, ())
 
 
 def _local(segment: tuple[Gate, ...], cache: dict[tuple, tuple]) -> _Local | None:
@@ -695,7 +646,7 @@ def _local(segment: tuple[Gate, ...], cache: dict[tuple, tuple]) -> _Local | Non
         unitary = np.eye(2 ** len(qubits), dtype=complex)
         prefix = np.empty((len(segment), *unitary.shape), dtype=complex)
         for j, (g, targets, controls) in enumerate(placed):
-            _apply_matrix(unitary, len(qubits), g.matrix, targets, controls, g.moves)
+            _apply_matrix(unitary, len(qubits), g.matrix, targets, controls)
             prefix[j] = unitary
         prefix.setflags(write=False)
         shared = cache[key] = (prefix, [unitary])
@@ -722,11 +673,11 @@ def circuit_unitary(circ: Circuit) -> np.ndarray:
 
 def _subset(num_qubits: int, qubits: Iterable[int] | None) -> tuple[int, ...]:
     """The measured qubits (default: all), checked: non-empty, distinct
-    and within the register."""
+    integers (as ``_is_index`` reads them) within the register."""
     qs = tuple(range(num_qubits)) if qubits is None else tuple(qubits)
-    if not qs or len(set(qs)) != len(qs) or not all(0 <= q < num_qubits for q in qs):
+    if not qs or not all(_is_index(q) and 0 <= q < num_qubits for q in qs) or len(set(qs)) != len(qs):
         raise SimulationError(
-            f"qubit subset {qs} must be non-empty, distinct and within the {num_qubits}-qubit register"
+            f"qubit subset {qs} must be non-empty, distinct integers within the {num_qubits}-qubit register"
         )
     return qs
 

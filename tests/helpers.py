@@ -60,7 +60,7 @@ def gate_by_gate(circ: Circuit, amps: np.ndarray | None = None) -> np.ndarray:
     gate in order: the oracle for ``Circuit.steps``."""
     amps = new_state(circ.num_qubits).amps if amps is None else np.array(amps, dtype=complex)
     for gate in circ.gates:
-        _apply_matrix(amps, circ.num_qubits, gate.matrix, gate.targets, gate.controls, gate.moves)
+        _apply_matrix(amps, circ.num_qubits, gate.matrix, gate.targets, gate.controls)
     return amps
 
 
@@ -77,7 +77,7 @@ def assert_same_steps(got, want):
         else:
             assert np.array_equal(a.matrix, b.matrix) and a.matrix.tobytes() == b.matrix.tobytes()
             assert not a.matrix.flags.writeable
-            assert (a.targets, a.controls, a.moves) == (b.targets, b.controls, b.moves)
+            assert (a.targets, a.controls) == (b.targets, b.controls)
 
 
 def stream_words(key: int, start: int, count: int) -> np.ndarray:

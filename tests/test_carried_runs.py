@@ -19,7 +19,6 @@ from qbandit.statevector import (
     SimulationError,
     _apply_matrix,
     _Fourier,
-    _moves,
     _Step,
     h,
     phase,
@@ -45,13 +44,13 @@ def power_reference(segment, m):
     matrix = np.eye(2 ** len(qubits), dtype=complex)
     for g in segment:
         targets, controls = tuple(map(local.get, g.targets)), tuple(map(local.get, g.controls))
-        _apply_matrix(matrix, len(qubits), g.matrix, targets, controls, g.moves)
+        _apply_matrix(matrix, len(qubits), g.matrix, targets, controls)
     return np.linalg.matrix_power(matrix, m), tuple(qubits)
 
 
 def power_step(segment, m):
     matrix, qubits = power_reference(segment, m)
-    return _Step(matrix, qubits, (), _moves(matrix))
+    return _Step(matrix, qubits, ())
 
 
 @settings(max_examples=30, deadline=None)
@@ -187,5 +186,4 @@ def test_controlled_equals_a_gate_built_from_scratch(base):
     assert got.matrix is base.matrix and np.array_equal(got.matrix, want.matrix)
     assert got.matrix.tobytes() == want.matrix.tobytes()
     assert not got.matrix.flags.writeable and not want.matrix.flags.writeable
-    assert got.moves == want.moves == _moves(want.matrix)
     assert repr(got) == repr(want)

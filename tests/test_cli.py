@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from qbandit import cli
 from qbandit.cli import ConfigError, load_config, main
 from qbandit.training import synthesize_dataset, write_dataset
 
@@ -184,12 +185,20 @@ class TestQpeCommand:
         assert code == 1
         assert "env" in capsys.readouterr().err
 
-    def test_partial_failure_reports_sub_run(self, tmp_path, capsys):
+    def test_partial_failure_reports_sub_run(self, tmp_path, capsys, monkeypatch):
+        # Every config field is checked before the grid runs, so a sub-run
+        # that fails is one whose run_qpe raises.
+        def run_qpe(policy, params, cfg, run=cli.run_qpe):
+            if cfg.n == 4:
+                raise ValueError("refused")
+            return run(policy, params, cfg)
+
+        monkeypatch.setattr(cli, "run_qpe", run_qpe)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
             json.dumps(
                 {
-                    "qpe": {"n": [3, 99], "shots": 20},
+                    "qpe": {"n": [3, 4], "shots": 20},
                     "env": {"theta_left": 1.9823, "theta_right": 0.9273},
                 }
             )
@@ -199,7 +208,7 @@ class TestQpeCommand:
             ["qpe", "--policy-left", "0.5", "--config", str(cfg_path), "--out", str(out)]
         )
         assert code == 1
-        assert "n99" in capsys.readouterr().err
+        assert "qpe_pleft0.5_n4_ideal: refused" in capsys.readouterr().err
         assert (out / "qpe_pleft0.5_n3_ideal.csv").exists()
 
     def test_noisy_csv_has_empty_exact_column(self, tmp_path):

@@ -65,6 +65,9 @@ def test_train_refuses_a_401_digit_rho_start(tmp_path):
         ({"shots": 0}, "qpe.shots: must be >= 1, got 0"),
         ({"seed": -1}, "qpe.seed: must be non-negative, got -1"),
         ({"seed": 1.5}, "qpe.seed: must be integral"),
+        ({"n": 13}, "qpe.n: must be in [1, 12], got 13"),
+        ({"n": 0}, "qpe.n: must be in [1, 12], got 0"),
+        ({"n": [3, 13]}, "qpe.n: must be in [1, 12], got 13"),
     ],
 )
 def test_qpe_refuses_shots_and_seed_before_writing(qpe, message, tmp_path, capsys):

@@ -105,7 +105,7 @@ def gate_by_gate_with(circ, config, found, cols):
     amps = np.zeros((2**n, cols), dtype=complex)
     amps[0] = 1.0
     for g, gate in enumerate(circ.gates):
-        _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls, gate.moves)
+        _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls)
         a, b = np.searchsorted(gates, (g, g + 1))
         if a < b:
             noise._apply_paulis(amps, *(s[a:b] for s in strings))

@@ -9,7 +9,7 @@ from qbandit.noise import NoiseConfig, run_trajectory
 from qbandit.statevector import SimulationError, circuit, h, new_state, sample_counts
 
 BELL = circuit(2, [h(0), h(1)])
-BAD_SUBSETS = [(5,), (0, 0), (-1,), ()]
+BAD_SUBSETS = [(5,), (0, 0), (-1,), (), (True,), (1.5,), ("1",), (1.0,)]
 
 
 def _sample(qs):
