@@ -51,6 +51,18 @@ so this is exact.  The readout is one marginal, draw, readout-flip XOR
 and tally per chunk; a bitstring is rendered once per outcome, never
 per shot.
 
+A chunk's state and its work arena, twice its size, are one
+allocation, so a chunk's working set is 3 x ``_CHUNK_AMPS`` amplitudes,
+48 MB at most.  Every batched stage computes in the arena instead of
+allocating its own temporaries: each kernel call's gather and product,
+a run's error stacks and its erring columns' gather and product, and
+the marginal's probabilities and bin indices.  A shot's draws do not
+depend on its chunk, but its amplitudes can: a batched product of more
+columns may round some parts differently by an ulp, and an outcome
+flips if its uniform lies within that of a CDF edge.  So counts at
+different chunkings (``_CHUNK_AMPS`` or the shot total) agree with
+probability near 1, not by construction.
+
 Default rates are invented (no hardware calibration behind them),
 chosen so that deeper circuits visibly degrade more.
 """
@@ -94,7 +106,8 @@ _PAULIS.setflags(write=False)
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 # A chunk of shots holds at most this many amplitudes (16 MB of
-# complex128), so memory does not grow with shots or register width.
+# complex128), and its arena twice as many, so memory does not grow with
+# shots or register width: 48 MB at most.
 _CHUNK_AMPS = 2**20
 
 
@@ -154,6 +167,7 @@ def _draws(key: int, first: int, shots: int, slots: _Slots, reads: int) -> tuple
         row, slot = np.divmod(np.flatnonzero(words[:, :size] < slots.below), size)
         found.append((row + start, slot, 3 * words[row, slot] // slots.below[slot]))
         readout[start : start + count] = words[:, size:] * 2.0**-53
+        del words  # before the next block is read, which can then take its memory
     shot, slot, pauli = (np.concatenate(v) for v in zip(*found))
     return shot, slot, pauli, readout
 
@@ -182,7 +196,9 @@ def _apply_paulis(amps: np.ndarray, cols, flip, negate, ys) -> None:
     amps[:, cols] = amps[src, cols] * _I_POWERS[power]
 
 
-def _apply_run_errors(amps: np.ndarray, n: int, local: _Local, length: int, time, cols, flip, negate, ys) -> None:
+def _apply_run_errors(
+    amps: np.ndarray, n: int, local: _Local, length: int, time, cols, flip, negate, ys, arena: np.ndarray
+) -> None:
     """The Pauli strings of one run of ``local``'s segment (``length``
     gates a copy), moved to the run's start and applied in place there,
     so that the run's power step U^m then takes each column where the
@@ -195,12 +211,14 @@ def _apply_run_errors(amps: np.ndarray, n: int, local: _Local, length: int, time
     is K at the run's start.  A column's errors K_1, ..., K_e, in time
     order, become W = K_e ... K_1 on the run's qubits.
 
-    The erring columns are taken in slices of whole columns with at most
-    ``_BLOCK_WORDS // (8 d^2)`` errors in all, d = 2^len(qubits), or one
-    column if it alone has more: the slice's stacks of one complex d x d
-    matrix per error or per pair, at most four at once, then hold no more
-    words than a block of raw words, beside its columns' amplitudes.  V
-    is formed once per distinct (copy, gate) pair of a slice."""
+    The erring columns are taken in slices of whole columns, each with no
+    more errors than the chunk's ``arena`` holds the work of, or one
+    column, in an array of its own, if it alone has more.  A slice of e
+    errors works in four stacks of e complex d x d matrices, d =
+    2^len(qubits), each taken over once its contents are spent, and then
+    in its columns' amplitudes and their product with W, beside W: at
+    most e max(4 d^2, d^2 + 2^(n+1)) complex words.  V is formed once per
+    distinct (copy, gate) pair of a slice."""
     d = len(local.chain[0])
     # The strings on the run's qubits: bit b of a local index is qubits[b].
     lflip, lneg = (_outcomes(n, local.qubits)[mask] for mask in (flip, negate))
@@ -216,25 +234,34 @@ def _apply_run_errors(amps: np.ndarray, n: int, local: _Local, length: int, time
     powers = np.eye(d, dtype=complex)[None]
     for k in range(top.bit_length()):
         powers = np.concatenate((powers, powers[: top + 1 - len(powers)] @ local.power(1 << k)))
-    limit = max(1, _BLOCK_WORDS // (8 * d * d))
     flat, rows = amps.reshape(-1), _gate_rows(n, local.qubits, ()) * amps.shape[1]
+    per_error = max(4 * d * d, d * d + 2 * len(amps))  # a column has at least one error
+    limit = arena.size // per_error
     a = 0
     while a < len(bounds) - 1:
         b = max(a + 1, int(np.searchsorted(bounds, bounds[a] + limit, "right")) - 1)
         lo, hi = bounds[a], bounds[b]
         pairs, pair = np.unique(time[lo:hi], return_inverse=True)
         copy, gate = np.divmod(pairs, length)
-        v = np.take(local.prefix, gate, axis=0) @ np.take(powers, copy, axis=0)
-        k = np.take(np.conjugate(v.swapaxes(1, 2), order="C"), pair, axis=0)
-        k *= phase[lo:hi, None, :]  # V^dagger P
-        k = k @ np.take(v.reshape(-1, d), pair[:, None] * d + src[lo:hi], axis=0)
+        work = arena if hi - lo <= limit else np.empty((hi - lo) * per_error, dtype=complex)
+        # The stacks hold V, then W; A_j, then V^dagger, then K; V^dagger P,
+        # then a round's K; U^c, then P V, then a round's product.
+        vw, k, vdp, pv = work[: 4 * (hi - lo) * d * d].reshape(4, hi - lo, d, d)
+        v, spent = vw[: len(pairs)], k[: len(pairs)]
+        np.take(local.prefix, gate, axis=0, mode="clip", out=spent)
+        np.matmul(spent, np.take(powers, copy, axis=0, mode="clip", out=pv[: len(pairs)]), out=v)
+        np.take(np.conjugate(v.swapaxes(1, 2), out=spent), pair, axis=0, mode="clip", out=vdp)
+        vdp *= phase[lo:hi, None, :]  # V^dagger P
+        np.matmul(vdp, np.take(v.reshape(-1, d), pair[:, None] * d + src[lo:hi], axis=0, mode="clip", out=pv), out=k)
         count, head = np.diff(bounds[a : b + 1]), bounds[a:b] - lo
-        w = k[head]  # W = K_e ... K_1
+        w = np.take(k, head, axis=0, mode="clip", out=vw[: b - a])  # W = K_e ... K_1
         for r in range(1, count[0]):
             live = np.count_nonzero(count > r)
-            w[:live] = k[head[:live] + r] @ w[:live]
+            np.matmul(np.take(k, head[:live] + r, axis=0, mode="clip", out=vdp[:live]), w[:live], out=pv[:live])
+            w[:live] = pv[:live]
         at = cols[bounds[a:b], None, None] + rows  # (column, local index, rest)
-        flat[at] = w @ flat[at]
+        block, prod = work[w.size : w.size + 2 * at.size].reshape(2, *at.shape)
+        flat[at] = np.matmul(w, np.take(flat, at, mode="clip", out=block), out=prod)
         a = b
 
 
@@ -250,8 +277,8 @@ def _trajectories(
     trajectory path.  A chunk's outcomes are tallied in one pass; a
     bitstring is rendered once per outcome."""
     n = circ.num_qubits
-    slots = _Slots.of(circ, config)
     qubits = _subset(n, qubits)  # checked before any work
+    slots = _Slots.of(circ, config)
     # (index of the run's first gate, segment, copies, local, step): a run
     # with a _Local is one power step; any other runs gate by gate, as
     # every gate of a flat gate list does.
@@ -266,22 +293,29 @@ def _trajectories(
         cols = min(shots, start + size) - start
         *found, readout = _draws(key, start, cols, slots, 1 + len(qubits))
         gates, *strings = _pauli_strings(n, slots, cols, *found)
-        amps = np.zeros((2**n, cols), dtype=complex)
+        # The chunk's state and its arena, the work space of every batched
+        # stage, are one allocation.  glibc's malloc raises its trim
+        # threshold to twice the largest mapped block freed so far; with
+        # one block this large, the heap that the chunk's smaller
+        # temporaries use is not trimmed and faulted in again every call.
+        chunk = np.empty((3, 2**n, cols), dtype=complex)
+        amps, arena = chunk[0], chunk[1:].reshape(-1)
+        amps[1:] = 0.0
         amps[0] = 1.0  # every column starts in |0...0>
         for offset, segment, copies, local, step in plan:
             stop = offset + len(segment) * copies
             if local is None:
                 cuts = np.searchsorted(gates, np.arange(offset, stop + 1)).tolist()
                 for gate, a, b in zip(segment * copies, cuts, cuts[1:]):
-                    _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls)
+                    _apply_matrix(amps, n, gate.matrix, gate.targets, gate.controls, arena)
                     if a < b:
                         _apply_paulis(amps, *(s[a:b] for s in strings))
                 continue
             a, b = np.searchsorted(gates, (offset, stop))
             if a < b:  # some shot errs in the run
-                _apply_run_errors(amps, n, local, len(segment), gates[a:b] - offset, *(s[a:b] for s in strings))
-            _apply_matrix(amps, n, *step)
-        marg = _marginal(amps, n, qubits)
+                _apply_run_errors(amps, n, local, len(segment), gates[a:b] - offset, *(s[a:b] for s in strings), arena)
+            _apply_matrix(amps, n, *step, arena)
+        marg = _marginal(amps, n, qubits, arena)
         flips = (readout[:, 1:] < config.readout_flip).dot(1 << np.arange(len(qubits)))
         outcomes = _draw(marg, readout[:, 0]) ^ flips
         seen, first, reps = np.unique(outcomes, return_index=True, return_counts=True)

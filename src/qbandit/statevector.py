@@ -511,19 +511,30 @@ def _apply_matrix(
     matrix: np.ndarray,
     targets: tuple[int, ...],
     controls: tuple[int, ...],
+    arena: np.ndarray | None = None,
 ) -> None:
     """The one amplitude update, ``matrix @ block``: ``matrix`` on
     ``targets`` wherever every control is 1, written in place into
     ``amps``, which is one state ``(2**n,)`` or a batch ``(2**n, B)`` with
-    one state per column."""
+    one state per column.
+
+    A batch's block and product are held in ``arena``, a flat complex
+    array of at least ``2 * amps.size`` entries, so that a caller looping
+    over gates allocates them once; without one, the call makes its own."""
     rows = _gate_rows(num_qubits, targets, controls)
     if amps.ndim == 1:
+        # A single state skips the reshapes and the arena, which made
+        # ideal runs slower.
         amps[rows] = matrix @ amps[rows]
-    else:
-        # One product for every column.  A single state skips these
-        # reshapes, which would add about a fifth to each of its calls.
-        block = amps[rows]
-        amps[rows] = (matrix @ block.reshape(len(rows), -1)).reshape(block.shape)
+        return
+    size = rows.size * amps.shape[1]
+    if arena is None:
+        arena = np.empty(2 * size, dtype=complex)
+    # mode="clip" (the rows are always in range) writes straight into
+    # ``out``; the default mode buffers it in a temporary as large.
+    block = amps.take(rows, axis=0, mode="clip", out=arena[:size].reshape(*rows.shape, -1))
+    prod = np.matmul(matrix, arena[:size].reshape(len(rows), -1), out=arena[size : 2 * size].reshape(len(rows), -1))
+    amps[rows] = prod.reshape(block.shape)
 
 
 def apply_circuit(state: StateVector, circ: Circuit) -> StateVector:
@@ -695,23 +706,29 @@ def _outcomes(num_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
 
 
 def _marginal(
-    amps: np.ndarray, num_qubits: int, qubits: Iterable[int] | None = None
+    amps: np.ndarray, num_qubits: int, qubits: Iterable[int] | None = None, arena: np.ndarray | None = None
 ) -> np.ndarray:
     """Born probabilities of ``amps`` marginalized onto ``qubits`` (default:
     all); outcome m has bit j equal to the measured value of qubits[j].
     For a batch ``(2**n, B)`` of states, column c of the result is the
-    marginal of column c.  Every readout path comes through here to have
-    its subset checked."""
+    marginal of column c; its probabilities and bin indices are held in
+    ``arena``, a flat complex array of at least ``amps.size`` entries, if
+    one is given.  Every readout path comes through here to have its
+    subset checked."""
     qs = _subset(num_qubits, qubits)
-    probs = np.abs(amps) ** 2
     out = _outcomes(num_qubits, qs)
     if amps.ndim == 1:
-        return np.bincount(out, weights=probs, minlength=2 ** len(qs))
+        return np.bincount(out, weights=np.abs(amps) ** 2, minlength=2 ** len(qs))
+    if arena is None:
+        arena = np.empty(amps.size, dtype=complex)
+    probs, index = arena.view(np.float64)[: 2 * amps.size].reshape(2, *amps.shape)
+    np.abs(amps, out=probs)
+    probs *= probs  # the bits of ** 2
     # Column c of outcome m is bin m * B + c.  bincount adds each bin's
     # terms in index order, so every column sums as it would alone.
     cols = amps.shape[1]
-    out = (out[:, None] * cols + np.arange(cols)).ravel()
-    marg = np.bincount(out, weights=probs.ravel(), minlength=2 ** len(qs) * cols)
+    index = np.add(out[:, None] * cols, np.arange(cols), out=index.view(np.intp))
+    marg = np.bincount(index.ravel(), weights=probs.ravel(), minlength=2 ** len(qs) * cols)
     return marg.reshape(-1, cols)
 
 

@@ -8,9 +8,9 @@ import pytest
 
 from qbandit import noise
 from qbandit.bandit import BanditParams, PolicySpec, angle_from_frequency
-from qbandit.noise import NoiseConfig, noisy_counts
+from qbandit.noise import NoiseConfig, noisy_counts, run_trajectory
 from qbandit.qpe import build_grover_operator, build_qpe_circuit, build_state_prep, eval_qubits
-from qbandit.statevector import Circuit, derive_seed, h
+from qbandit.statevector import Circuit, SimulationError, derive_seed, h
 
 def test_shot_counts_past_32_bits_are_refused_up_front(monkeypatch):
     # The refusal comes before any key is derived or any trajectory runs.
@@ -20,6 +20,19 @@ def test_shot_counts_past_32_bits_are_refused_up_front(monkeypatch):
     monkeypatch.setattr(noise, "_trajectories", no_work)
     with pytest.raises(ValueError, match="shots"):
         noisy_counts(Circuit(1, (h(0),)), 2**32 + 1, NoiseConfig(), 0)
+
+
+@pytest.mark.parametrize("qubits", [(), (0, 0), (2,), (True,)])
+def test_a_bad_subset_is_refused_before_the_slots_are_built(monkeypatch, qubits):
+    def no_slots(*args):
+        raise AssertionError("slots built")
+
+    monkeypatch.setattr(noise._Slots, "of", no_slots)
+    circ = Circuit(2, (h(0),))
+    with pytest.raises(SimulationError, match="qubit subset"):
+        noisy_counts(circ, 10, NoiseConfig(), 0, qubits)
+    with pytest.raises(SimulationError, match="qubit subset"):
+        run_trajectory(circ, NoiseConfig(), 0, qubits)
 
 
 def qpe_circuit(n):

@@ -122,9 +122,9 @@ def test_a_noisy_trajectory_takes_each_narrow_run_as_one_step(monkeypatch):
     kernel = noise._apply_matrix
 
     def counting(into):
-        def call(amps, num_qubits, matrix, targets, controls):
+        def call(amps, num_qubits, matrix, targets, controls, *arena):
             into.append((targets, controls))
-            return kernel(amps, num_qubits, matrix, targets, controls)
+            return kernel(amps, num_qubits, matrix, targets, controls, *arena)
 
         return call
 
