@@ -9,6 +9,13 @@ All three expose the same surface:
   bitstring keys are rendered only on iteration, or None when the
   backend cannot provide one (noisy).
 
+Each backend class's ``max_shots`` is the most shots its ``counts``
+takes, the one constant that ``counts`` checks: None for the ideal
+sampler, ``MAX_APPORTION_SHOTS`` (2**53) for the exact oracle, whose
+``counts`` apportions, and ``noise.MAX_NOISY_SHOTS`` (2**32) for the
+noisy backend.  ``QpeConfig``, and ``qbandit train`` per evaluation,
+refuse more shots than their backend's.
+
 ``IdealBackend`` implements all three once, always sampling, as hardware
 would.  The other two subclass it and override two methods each.  The
 exact oracle never samples: ``counts`` apportions the exact distribution
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterable, TypeVar
 
-from .noise import NoiseConfig, noisy_counts
+from .noise import MAX_NOISY_SHOTS, NoiseConfig, noisy_counts
 from .statevector import (
     Circuit,
     ExactDistribution,
@@ -42,15 +49,19 @@ from .statevector import (
 
 _Key = TypeVar("_Key", str, int)
 
+# The most shots ``apportion`` takes: past 2**53 a float product
+# p * shots no longer holds every integer.
+MAX_APPORTION_SHOTS = 2**53
+
 
 def apportion(probabilities: dict[_Key, float], shots: int) -> dict[_Key, int]:
     """Largest-remainder rounding of ``probabilities * shots`` to integers
     that sum exactly to ``shots``; deterministic (ties break on key, so
     keys must be mutually comparable: bitstrings or integers).  Shots
-    above 2**53, where a float product p * shots no longer holds every
-    integer, are refused with a ValueError, and so are probabilities too
-    far from summing to 1 for the remainders to make up the difference."""
-    check_number("shots", shots, low=0, high=2**53)
+    above ``MAX_APPORTION_SHOTS`` are refused with a ValueError, and so
+    are probabilities too far from summing to 1 for the remainders to
+    make up the difference."""
+    check_number("shots", shots, low=0, high=MAX_APPORTION_SHOTS)
     items = sorted(probabilities.items())
     raw = [(key, p * shots) for key, p in items]
     counts = {key: int(v) for key, v in raw}
@@ -67,6 +78,7 @@ class IdealBackend:
     """Noise-free simulation with seeded measurement sampling."""
 
     name = "ideal"
+    max_shots: int | None = None
 
     def counts(
         self,
@@ -90,6 +102,7 @@ class ExactOracleBackend(IdealBackend):
     """Shot-free oracle: exact Born probabilities instead of sampling."""
 
     name = "exact-oracle"
+    max_shots = MAX_APPORTION_SHOTS
 
     def counts(
         self,
@@ -113,6 +126,7 @@ class NoisyBackend(IdealBackend):
     """Pauli-trajectory noise plus readout flips around the ideal simulator."""
 
     name = "noisy"
+    max_shots = MAX_NOISY_SHOTS
 
     def __init__(self, noise: NoiseConfig | None = None):
         check_backend(self.name, noise)

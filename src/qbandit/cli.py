@@ -242,6 +242,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _configure(args)
     train_cfg = _section(TrainConfig, cfg, "train")
     backend = get_backend(cfg["backend"], _section(NoiseConfig, cfg, "noise"))
+    _number(train_cfg.shots_per_eval, "train.shots_per_eval", numbers.Integral, 1, backend.max_shots)
     dataset = load_dataset(args.data)
 
     out_dir = Path(args.out)
@@ -317,49 +318,40 @@ def _qpe_grid(
     policies: list[float],
     shots: int,
     base_seed: int,
-) -> tuple[list[str], list[str]]:
+) -> list[str]:
     """Run QPE in ``out_dir`` for every (backend, n, p_left), sub-run i
-    seeded with derive_seed(base_seed, i); each success writes its CSV and
-    a panel of histograms.svg.  Returns (output file names, failure
-    messages).  A grid with two sub-runs of one name is refused first."""
-    runs: dict[str, tuple[str, int, float]] = {}
+    seeded with derive_seed(base_seed, i); each writes its CSV and a panel
+    of histograms.  Every sub-run's QpeConfig is built before ``out_dir``
+    exists, so a grid with a sub-run its config refuses, or two sub-runs
+    of one name, fails whole with a ConfigError naming the sub-run and
+    writes nothing.  Returns the names of the files it wrote."""
+    runs: dict[str, tuple[float, QpeConfig]] = {}
     for backend_name, n, p_left in itertools.product(backends, n_values, policies):
         run_id = f"qpe_pleft{p_left:g}_n{n}_{backend_name}"
         _require(run_id not in runs, "qpe", f"two sub-runs would both write {run_id}.csv")
-        runs[run_id] = (backend_name, n, p_left)
+        seed = derive_seed(base_seed, len(runs))
+        try:
+            runs[run_id] = (p_left, QpeConfig(n, shots, backend_name, noise, seed))
+        except ValueError as exc:
+            raise ConfigError(f"{run_id}: {exc}") from exc
     _make_dir(out_dir)
     outputs: list[str] = []
-    failures: list[str] = []
     panels: dict[tuple[str, int], list[tuple[str, ValueHistogram]]] = {}
-    for run_index, (run_id, (backend_name, n, p_left)) in enumerate(runs.items()):
-        try:
-            qpe_cfg = QpeConfig(
-                n=n,
-                shots=shots,
-                backend=backend_name,
-                noise=noise,
-                seed=derive_seed(base_seed, run_index),
-            )
-            hist = run_qpe(PolicySpec(p_left), params, qpe_cfg)
-        except ValueError as exc:
-            failures.append(f"{run_id}: {exc}")
-            continue
-        csv_path = out_dir / f"{run_id}.csv"
-        _write_csv(csv_path, ["y", "v_tilde", "count", "exact_prob"], hist.rows())
-        outputs.append(csv_path.name)
-        panels.setdefault((backend_name, n), []).append((f"p_left={p_left:g}", hist))
+    for run_id, (p_left, qpe_cfg) in runs.items():
+        hist = run_qpe(PolicySpec(p_left), params, qpe_cfg)
+        _write_csv(out_dir / f"{run_id}.csv", ["y", "v_tilde", "count", "exact_prob"], hist.rows())
+        outputs.append(f"{run_id}.csv")
+        panels.setdefault((qpe_cfg.backend, qpe_cfg.n), []).append((f"p_left={p_left:g}", hist))
 
-    rows = (
-        [_histogram_panel(panels[b, n], f"{b}, n={n}", shots) for n in n_values if (b, n) in panels]
-        for b in backends
-    )
-    if grid := [row for row in rows if row]:
-        (out_dir / "histograms.svg").write_text(panel_grid(grid))
-        outputs.append("histograms.svg")
-    return outputs, failures
+    grid = [[_histogram_panel(panels[b, n], f"{b}, n={n}", shots) for n in n_values] for b in backends]
+    (out_dir / "histograms.svg").write_text(panel_grid(grid))
+    return [*outputs, "histograms.svg"]
 
 
 def cmd_qpe(args: argparse.Namespace) -> int:
+    """Run the (backend, n, p_left) grid of QPE sub-runs in ``--out``.
+    Every field, and every sub-run's config, is checked before the
+    directory is made, so a run writes all its outputs or none."""
     cfg = _configure(args)
     params = _resolve_qpe_env(args, cfg)
     cfg["env"] = asdict(params)
@@ -383,14 +375,10 @@ def cmd_qpe(args: argparse.Namespace) -> int:
         _require(first == name, "backend", f"{first!r} and {name!r} name one backend; give one of them")
 
     out_dir = Path(args.out)
-    outputs, failures = _qpe_grid(
-        out_dir, params, noise, backends, n_values, policies, shots, base_seed
-    )
+    outputs = _qpe_grid(out_dir, params, noise, backends, n_values, policies, shots, base_seed)
     write_manifest(out_dir, "qpe", cfg, base_seed, outputs)
-    for failure in failures:
-        print(f"qpe: sub-run failed: {failure}", file=sys.stderr)
     print(f"qpe: wrote {len(outputs)} artifact(s) to {out_dir}")
-    return 1 if failures else 0
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +532,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             angle_from_frequency(cfg["env"]["win_left"]),
             angle_from_frequency(cfg["env"]["win_right"]),
         )
-        outputs, failures = _qpe_grid(
+        outputs = _qpe_grid(
             out_dir, params, NoiseConfig(), cfg["backends"], cfg["n"],
             cfg["policies"], cfg["shots"], seed,
         )
-        if failures:
-            raise ValueError("; ".join(failures))
     else:  # scaling
         ns = argparse.Namespace(v=0.45, n_range="3..8", seed=7, out=str(out_dir))
         return cmd_baseline(ns)

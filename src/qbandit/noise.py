@@ -110,6 +110,9 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 # shots or register width: 48 MB at most.
 _CHUNK_AMPS = 2**20
 
+# The most shots one ``noisy_counts`` call takes; ``NoisyBackend.max_shots``.
+MAX_NOISY_SHOTS = 2**32
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -352,8 +355,9 @@ def noisy_counts(
 ) -> MeasurementCounts:
     """Aggregate independent trajectories: shots 0 to ``shots`` - 1 of the
     stream keyed by ``derive_seed(config.seed, seed)``, so runs are
-    reproducible shot by shot."""
-    check_number("shots", shots, low=1, high=2**32)
+    reproducible shot by shot.  ``shots`` above ``MAX_NOISY_SHOTS``
+    (2**32) are refused before any work."""
+    check_number("shots", shots, low=1, high=MAX_NOISY_SHOTS)
     check_seed("config.seed", config.seed)
     check_seed("seed", seed)
     key = derive_seed(config.seed, seed)

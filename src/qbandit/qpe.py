@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends import Backend, ExactOracleBackend, apportion, check_backend, get_backend
+from .backends import Backend, ExactOracleBackend, apportion, get_backend
 from .bandit import ACTION_QUBIT, REWARD_QUBIT, BanditParams, PolicySpec
 from .bandit import build_environment_circuit, build_policy_circuit
 from .noise import NoiseConfig
@@ -220,6 +220,11 @@ def qsample_count(n: int) -> int:
 
 @dataclass(frozen=True)
 class QpeConfig:
+    """One ``run_qpe``, checked when it is made: a register width in [1,
+    ``MAX_EVAL_QUBITS``], a seed that is a Philox key, a known backend
+    with a NoiseConfig or None, and shots from 1 to that backend's
+    ``max_shots``, so that ``run_qpe`` on that backend takes its shots."""
+
     n: int
     shots: int = 300
     backend: str = "ideal"
@@ -228,9 +233,9 @@ class QpeConfig:
 
     def __post_init__(self):
         check_number("n", self.n, low=1, high=MAX_EVAL_QUBITS)
-        check_number("shots", self.shots, low=1)
         check_seed("seed", self.seed, key=True)
-        check_backend(self.backend, self.noise)
+        limit = get_backend(self.backend, self.noise).max_shots
+        check_number("shots", self.shots, low=1, high=limit)
 
 
 class FoldedDistribution(Mapping):

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from qbandit import cli
 from qbandit.cli import ConfigError, load_config, main
 from qbandit.training import synthesize_dataset, write_dataset
 
@@ -127,6 +126,18 @@ class TestTrainCommand:
         assert result["final_loss"] < 1e-6
 
 
+    @pytest.mark.parametrize("backend, limit", [("noisy", 2**32), ("exact-oracle", 2**53)])
+    def test_shots_over_backend_limit_refused_before_writing(
+        self, dataset_file, tmp_path, capsys, backend, limit
+    ):
+        out = tmp_path / "train"
+        argv = ["train", "--data", str(dataset_file), "--backend", backend]
+        code = main([*argv, "--shots", str(limit + 1), "--out", str(out)])
+        assert code == 1
+        assert f"train.shots_per_eval: must be in [1, {limit}]" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestQpeCommand:
     def test_explicit_thetas(self, tmp_path):
         out = tmp_path / "qpe"
@@ -185,31 +196,17 @@ class TestQpeCommand:
         assert code == 1
         assert "env" in capsys.readouterr().err
 
-    def test_partial_failure_reports_sub_run(self, tmp_path, capsys, monkeypatch):
-        # Every config field is checked before the grid runs, so a sub-run
-        # that fails is one whose run_qpe raises.
-        def run_qpe(policy, params, cfg, run=cli.run_qpe):
-            if cfg.n == 4:
-                raise ValueError("refused")
-            return run(policy, params, cfg)
-
-        monkeypatch.setattr(cli, "run_qpe", run_qpe)
+    def test_grid_over_a_backend_shot_limit_writes_nothing(self, tmp_path, capsys):
+        # The exact sub-run alone could run; the noisy one takes at most 2**32.
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "qpe": {"n": [3, 4], "shots": 20},
-                    "env": {"theta_left": 1.9823, "theta_right": 0.9273},
-                }
-            )
-        )
+        cfg_path.write_text(json.dumps({"backend": ["noisy", "exact"]}))
         out = tmp_path / "qpe"
-        code = main(
-            ["qpe", "--policy-left", "0.5", "--config", str(cfg_path), "--out", str(out)]
-        )
+        argv = ["qpe", "--config", str(cfg_path), "--n", "3", "--shots", str(2**32 + 1)]
+        code = main([*argv, "--theta-left", "1.2", "--theta-right", "0.4", "--out", str(out)])
         assert code == 1
-        assert "qpe_pleft0.5_n4_ideal: refused" in capsys.readouterr().err
-        assert (out / "qpe_pleft0.5_n3_ideal.csv").exists()
+        err = capsys.readouterr().err
+        assert "qpe_pleft0.5_n3_noisy: shots must be in [1, 4294967296]" in err
+        assert not out.exists()
 
     def test_noisy_csv_has_empty_exact_column(self, tmp_path):
         out = tmp_path / "noisy"

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qbandit.backends import ExactOracleBackend, IdealBackend, NoisyBackend
+from qbandit.backends import ExactOracleBackend, IdealBackend, NoisyBackend, apportion
 from qbandit.bandit import BanditParams, PolicySpec, angle_from_frequency, policy_value
-from qbandit.noise import NoiseConfig
+from qbandit.noise import NoiseConfig, noisy_counts
 from qbandit.qpe import (
     QpeConfig,
     build_grover_operator,
@@ -286,3 +286,32 @@ class TestRunQpe:
         a = run_qpe(PI_50, ARMS_70_20, cfg)
         b = run_qpe(PI_50, ARMS_70_20, cfg)
         assert a.counts == b.counts
+
+
+class TestShotLimits:
+    """A config takes at most its backend's ``max_shots``, the constant
+    that backend's own check reads, so a run cannot be refused halfway."""
+
+    @pytest.mark.parametrize(
+        "backend, limit", [("noisy", 2**32), ("exact", 2**53), ("exact-oracle", 2**53)]
+    )
+    def test_config_takes_the_limit_and_refuses_one_more(self, backend, limit):
+        assert QpeConfig(n=3, shots=limit, backend=backend).shots == limit
+        with pytest.raises(ValueError, match=rf"shots must be in \[1, {limit}\]"):
+            QpeConfig(n=3, shots=limit + 1, backend=backend)
+
+    def test_ideal_has_no_limit(self):
+        assert IdealBackend.max_shots is None
+        assert QpeConfig(n=3, shots=2**53 + 1).shots == 2**53 + 1
+
+    def test_noisy_counts_refuses_past_the_noisy_limit(self):
+        circ = build_qpe_circuit(build_grover_operator(build_state_prep(PI_50, ARMS_70_20)), 1)
+        limit = NoisyBackend.max_shots
+        with pytest.raises(ValueError, match=rf"shots must be in \[1, {limit}\]"):
+            noisy_counts(circ, limit + 1, NoiseConfig(), 0)
+
+    def test_apportion_refuses_past_the_oracle_limit(self):
+        limit = ExactOracleBackend.max_shots
+        assert apportion({0: 1.0}, limit) == {0: limit}
+        with pytest.raises(ValueError, match=rf"shots must be in \[0, {limit}\]"):
+            apportion({0: 1.0}, limit + 1)
