@@ -17,12 +17,16 @@ noisy backend.  ``QpeConfig``, and ``qbandit train`` per evaluation,
 refuse more shots than their backend's.
 
 ``IdealBackend`` implements all three once, always sampling, as hardware
-would.  The other two subclass it and override two methods each.  The
-exact oracle never samples: ``counts`` apportions the exact distribution
-to ``shots`` by largest remainder and ``frequency`` is the exact Born
-probability, yet both refuse the shots and seeds the sampler refuses;
-it exists for tests and shot-free baselines.  The noisy backend's
-``counts`` runs Pauli trajectories, and it has no ``exact_probabilities``.
+would; its ``frequency`` reads outcome 1 off the sampler's tally of the
+one-qubit marginal, the counts ``counts`` would give, with no
+``MeasurementCounts`` built.  The other two subclass it.  The exact
+oracle overrides ``counts`` and ``frequency`` and never samples:
+``counts`` apportions the exact distribution to ``shots`` by largest
+remainder and ``frequency`` is the exact Born probability, yet both
+refuse the shots and seeds the sampler refuses; it exists for tests and
+shot-free baselines.  The noisy backend overrides all three: its
+``counts`` runs Pauli trajectories, its ``frequency`` reads those noisy
+counts, and it has no ``exact_probabilities``.
 
 The ideal and oracle backends read a circuit's state from
 ``Circuit.final_state``, so each circuit object is simulated once.  Its
@@ -40,6 +44,7 @@ from .statevector import (
     Circuit,
     ExactDistribution,
     MeasurementCounts,
+    _sample_tally,
     check_number,
     check_seed,
     exact_distribution,
@@ -95,7 +100,8 @@ class IdealBackend:
         return exact_distribution(circ.final_state, qubits)
 
     def frequency(self, circ: Circuit, qubit: int, shots: int, seed: int) -> float:
-        return self.counts(circ, shots, seed, qubits=(qubit,)).frequency("1")
+        _, tally = _sample_tally(circ.final_state, shots, seed, (qubit,))
+        return int(tally[1]) / shots
 
 
 class ExactOracleBackend(IdealBackend):
@@ -140,6 +146,9 @@ class NoisyBackend(IdealBackend):
         qubits: Iterable[int] | None = None,
     ) -> MeasurementCounts:
         return noisy_counts(circ, shots, self.noise, seed, qubits)
+
+    def frequency(self, circ: Circuit, qubit: int, shots: int, seed: int) -> float:
+        return self.counts(circ, shots, seed, qubits=(qubit,)).frequency("1")
 
     def exact_probabilities(
         self, circ: Circuit, qubits: Iterable[int] | None = None

@@ -39,11 +39,13 @@ runs (``Circuit.runs``) takes each run whose segment has two or more
 gates on at most ``statevector._FOLD_QUBITS`` qubits as one
 ``_apply_matrix`` of U^m on the whole chunk, U being the segment's
 matrix and m its copies, from the same local products and squarings as
-the ideal step plan, so a shot with no error there gets the ideal
-plan's matrix.  An erring shot first takes its run's errors, moved to
-the run's start (``_apply_run_errors``): an error P after the gate that
-completes V of the run becomes V^dagger P V before it, an identity, so
-each trajectory stays exact.  Every other gate, and every gate of a
+the ideal step plan.  So a shot with no error in a run of two or more
+copies gets the ideal plan's matrix; a run of one copy is also one U
+here, but the ideal plan (``Circuit.steps``) runs it gate by gate, so
+there the two may round differently.  An erring shot first takes its
+run's errors, moved to the run's start (``_apply_run_errors``): an
+error P after the gate that completes V of the run becomes V^dagger P
+V before it, an identity, so each trajectory stays exact.  Every other gate, and every gate of a
 flat gate list, is one ``_apply_matrix`` on the whole chunk, and its
 strings are one gather, multiply and scatter of the columns they hit: a
 Pauli string only permutes amplitudes and multiplies them by ±1 or ±i,

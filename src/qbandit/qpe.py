@@ -329,9 +329,16 @@ def run_qpe(
     Only the evaluation register is measured; the system qubits are
     marginalized out.  On backends with closed-form output the exact
     folded distribution is recorded alongside the counts.
+
+    ``config`` checked its shots against its own backend's limit, and a
+    given ``backend`` may take fewer, so ``config.shots`` is checked
+    against ``backend.max_shots`` on entry, before any circuit is built.
+    A backend that declares no ``max_shots``, as a wrapper around one
+    need not, is left to refuse in its own ``counts``.
     """
     if backend is None:
         backend = get_backend(config.backend, config.noise)
+    check_number("shots", config.shots, low=1, high=getattr(backend, "max_shots", None))
     prep = build_state_prep(policy, params)
     q_op = build_grover_operator(prep)
     circ = build_qpe_circuit(q_op, config.n)

@@ -15,8 +15,8 @@ amplitude update (ideal circuits, noisy trajectories and
 takes one state or a batch of states held as columns and writes
 ``matrix @ block`` for every gate, with no special case for any matrix;
 the one other is the ideal plan's FFT for phase estimation's inverse
-QFT, below.  The marginal and the sampler take a batch too, one state
-and one uniform per column.
+QFT, below.  The marginal and the inverse-CDF draw (``_draw``) take a
+batch too, one state and one uniform per column.
 
 The ideal paths (``apply_circuit``, ``Circuit.final_state`` and
 ``circuit_unitary``) run a circuit's step plan, ``Circuit.steps``, made
@@ -41,13 +41,15 @@ Every random stream is Philox (Salmon et al., SC'11) keyed by a seed,
 and its words are addressed by index.  ``_PHILOX`` holds one bit
 generator per thread and, for each read, sets its key and the counter of
 the first word, which gives the words a new ``np.random.Philox`` with
-that key would give from that index without building one.  The ideal
-sampler, the synthesized dataset and the Monte Carlo baseline hold at
-most ``_BLOCK_WORDS`` words of a stream at once: they read their
-uniforms through ``_PHILOX.blocks``, and the sampler counts each block
-at the CDF's edges, so its memory is O(block + outcomes), not O(shots).
-Noisy trajectories read one stream per call too, its raw words in
-blocks of whole shots (``noise._draws``).
+that key would give from that index without building one.  Every
+reader holds at most ``_BLOCK_WORDS`` words of a stream at once.  The
+ideal sampler reads its raw words through ``_PHILOX.raw`` and counts
+each block at the integer limits of the CDF's edges, never decoding a
+word to a float, so its memory is O(block + outcomes), not O(shots).
+The synthesized dataset and the Monte Carlo baseline still read
+uniforms, through ``_PHILOX.blocks``.  Noisy trajectories read one
+stream per call too, its raw words in blocks of whole shots
+(``noise._draws``).
 
 All operations are pure: they take a state in and return a new one.
 A circuit object simulates itself from |0...0> at most once, on first
@@ -224,10 +226,11 @@ class _Philox(threading.local):
 _PHILOX = _Philox()
 
 # A block of raw words holds at most this many (512 KB of uint64), so a
-# sampler's memory does not grow with the stream it reads.  Every reader
-# of uniforms takes them in blocks of this size (``_Philox.blocks``); the
-# noisy draws read as many whole shots' words in one block as fit, or
-# one shot if that is longer.
+# sampler's memory does not grow with the stream it reads.  The ideal
+# sampler reads its words in blocks of this size, and every reader of
+# uniforms takes them so (``_Philox.blocks``); the noisy draws read as
+# many whole shots' words in one block as fit, or one shot if that is
+# longer.
 _BLOCK_WORDS = 2**16
 
 
@@ -743,28 +746,40 @@ def _draw(marg: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return (cdf.reshape(len(cdf), -1) <= uniforms).sum(axis=0)
 
 
-# Up to this many CDF edges, one pass over the uniforms per edge beats
-# sorting them.  On a 2-vCPU x86 VM a pass took about 3 µs and the sort
-# 36 µs at 8,000 uniforms, and 1.2 µs and 3 µs at 300.
+# Up to this many CDF edges, one pass over the uint64 words per edge
+# beats sorting them.  On a 2-vCPU x86 VM a ``_tally`` of 8,000 words
+# took about 4.5 µs more per edge with passes and 52 µs with the sort,
+# and at 300 words 1.3 µs per edge and 11 µs: passes win up to about 10
+# edges at 8,000 words and 5 at 300.
 _EDGE_PASSES = 4
 
 
-def _tally(marg: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """counts[k]: how many of ``uniforms`` select outcome k of ``marg``,
-    the outcome ``_draw`` gives each one.
+def _tally(marg: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """counts[k]: how many of the raw Philox ``words`` select outcome k of
+    ``marg``, the outcome ``_draw`` gives each word's uniform (w >> 11) *
+    2**-53.
 
     Outcome <= k exactly when u < cdf[k], so counts[k] = below[k] -
-    below[k - 1], with below[k] the uniforms under edge k.  Only the
-    edges are counted, never a per-shot outcome, so memory is
-    O(uniforms + outcomes).  The last edge is 1.0, above every uniform;
-    an earlier one that rounds above 1.0 is above every uniform too.
+    below[k - 1], with below[k] the words under edge k.  The words are
+    counted as they are, never decoded: (w >> 11) * 2**-53 < e holds
+    exactly when w >> 11 < ceil(e * 2**53), which is when w is below the
+    edge's integer limit L(e) = ceil(e * 2**53) * 2**11.  An edge that is
+    not below 1.0, whose limit would be 2**64 or more, is above every
+    word; the last edge is 1.0.  Only the edges are counted, never a
+    per-shot outcome, so memory is O(words + outcomes).
     """
-    edges = np.cumsum(marg)[:-1]
-    if len(edges) <= _EDGE_PASSES:
-        below = [np.count_nonzero(uniforms < edge) for edge in edges]
+    edges = marg.cumsum()[:-1]  # the method: ``np.cumsum`` costs a µs more
+    if edges.size <= _EDGE_PASSES:
+        below = [0]
+        for e in edges.tolist():
+            below.append(np.count_nonzero(words < (math.ceil(e * 2**53) << 11)) if e < 1.0 else words.size)
+        below = np.array([*below, words.size])
     else:
-        below = np.searchsorted(np.sort(uniforms), edges)  # strictly below
-    below = np.concatenate(([0], below, [len(uniforms)]))
+        inside = edges < 1.0
+        below = np.full(edges.size + 2, words.size)
+        below[0] = 0
+        limits = np.ceil(edges[inside] * 2.0**53).astype(np.uint64) << 11
+        below[1:-1][inside] = np.searchsorted(np.sort(words), limits)  # strictly below
     return below[1:] - below[:-1]
 
 
@@ -837,6 +852,22 @@ class MeasurementCounts:
         return self.counts.get(bitstring, 0) / self.total_shots
 
 
+def _sample_tally(
+    state: StateVector, shots: int, seed: int, qubits: Iterable[int] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The marginal ``sample_counts`` samples and its tally, the count of
+    every outcome, from the same checks: the counts with no bitstring or
+    ``MeasurementCounts`` made."""
+    check_number("shots", shots)
+    check_seed("seed", seed, key=True)
+    if shots < 1:
+        raise SimulationError(f"shots must be >= 1, got {shots}")
+    marg = _marginal(state.amps, state.num_qubits, qubits)
+    read = _PHILOX.raw(seed)  # the stream from word 0, block after block
+    blocks = (read(min(_BLOCK_WORDS, shots - first)) for first in range(0, shots, _BLOCK_WORDS))
+    return marg, sum(_tally(marg, words) for words in blocks)
+
+
 def sample_counts(
     state: StateVector,
     shots: int,
@@ -845,20 +876,17 @@ def sample_counts(
 ) -> MeasurementCounts:
     """Draw i.i.d. measurement shots from the exact distribution.
 
-    Shot i is a pure function of (seed, i): the i-th uniform of the
-    Philox stream keyed by ``seed`` selects the outcome whose CDF step it
-    falls in, so results do not depend on evaluation order.  The shots
-    are counted at the CDF's edges (``_tally``) rather than one by one,
-    in the blocks of ``_PHILOX.blocks``, whose counts add up; the counts
-    are those of the per-shot inverse CDF.  Outcomes appear in
-    increasing index order, those with no shot left out.
+    Shot i is a pure function of (seed, i): the i-th word of the Philox
+    stream keyed by ``seed``, as the uniform (w >> 11) * 2**-53, selects
+    the outcome whose CDF step it falls in, so results do not depend on
+    evaluation order.  The raw words are read through ``_PHILOX.raw`` in
+    blocks of at most ``_BLOCK_WORDS`` and each block is counted at the
+    CDF's integer edges (``_tally``) rather than shot by shot, never
+    decoded to floats; the blocks' counts add up to those of the per-shot
+    inverse CDF.  Outcomes appear in increasing index order, those with
+    no shot left out.
     """
-    check_number("shots", shots)
-    check_seed("seed", seed, key=True)
-    if shots < 1:
-        raise SimulationError(f"shots must be >= 1, got {shots}")
-    marg = _marginal(state.amps, state.num_qubits, qubits)
-    tally = sum(_tally(marg, uniforms) for uniforms in _PHILOX.blocks(seed, shots))
+    marg, tally = _sample_tally(state, shots, seed, qubits)
     counts = {_bitstring(m, marg): int(tally[m]) for m in np.flatnonzero(tally)}
     return MeasurementCounts(counts, shots)
 

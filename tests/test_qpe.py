@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qbandit import qpe
 from qbandit.backends import ExactOracleBackend, IdealBackend, NoisyBackend, apportion
 from qbandit.bandit import BanditParams, PolicySpec, angle_from_frequency, policy_value
 from qbandit.noise import NoiseConfig, noisy_counts
@@ -309,6 +310,17 @@ class TestShotLimits:
         limit = NoisyBackend.max_shots
         with pytest.raises(ValueError, match=rf"shots must be in \[1, {limit}\]"):
             noisy_counts(circ, limit + 1, NoiseConfig(), 0)
+
+    @pytest.mark.parametrize("backend", [ExactOracleBackend(), NoisyBackend()], ids=["exact", "noisy"])
+    def test_run_qpe_refuses_past_the_given_backends_limit_before_building(self, monkeypatch, backend):
+        # The ideal config takes any shots; the backend given takes fewer.
+        def unbuilt(*args):
+            raise AssertionError("run_qpe built a circuit for shots its backend refuses")
+
+        monkeypatch.setattr(qpe, "build_qpe_circuit", unbuilt)
+        limit = backend.max_shots
+        with pytest.raises(ValueError, match=rf"shots must be in \[1, {limit}\], got {limit + 1}"):
+            run_qpe(PI_50, ARMS_70_20, QpeConfig(n=3, shots=limit + 1), backend)
 
     def test_apportion_refuses_past_the_oracle_limit(self):
         limit = ExactOracleBackend.max_shots

@@ -3,6 +3,7 @@ against per-shot oracles on new Philox streams (``tests/helpers.py``),
 count for count and draw for draw."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     reference_mc_estimate,
     reference_sample_counts,
     reference_tally,
+    stream_words,
 )
 from qbandit import statevector
 from qbandit.baseline import monte_carlo_estimate
@@ -91,15 +93,15 @@ MARGINALS = {
 @pytest.mark.parametrize("marg", MARGINALS.values(), ids=MARGINALS.keys())
 @pytest.mark.parametrize("passes", [0, 4, 1024])
 def test_tally_at_cdf_edges(monkeypatch, marg, passes):
-    # Every edge itself, the float on each side of it, 0.0 and the largest
-    # uniform, then a stream's worth; with passes over the edges, with a
-    # sort, and with the default rule.
+    # The words at and beside every edge's integer limit ceil(e * 2**53) *
+    # 2**11, the smallest and the largest word, then a stream's worth;
+    # with passes over the edges, with a sort, and with the default rule.
     monkeypatch.setattr(statevector, "_EDGE_PASSES", passes)
     marg = np.array(marg)
-    cdf = np.cumsum(marg)
-    near = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2), [0.0, 1 - 2**-53]])
-    uniforms = np.concatenate([near[near < 1.0], fresh_uniforms(3, 500)])
-    assert as_counts(marg, _tally(marg, uniforms)) == reference_tally(marg, uniforms)
+    limits = [math.ceil(Fraction(edge) * 2**53) * 2**11 for edge in np.cumsum(marg)]
+    near = {w for limit in limits for w in (limit - 1, limit, limit + 1) if 0 <= w < 2**64}
+    words = np.concatenate([np.array(sorted(near | {0, 2**64 - 1}), dtype=np.uint64), stream_words(3, 0, 500)])
+    assert as_counts(marg, _tally(marg, words)) == reference_tally(marg, (words >> 11) * 2.0**-53)
 
 
 def test_an_edge_above_one_is_really_there():
