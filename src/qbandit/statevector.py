@@ -38,18 +38,22 @@ local products (``_local``), for single-copy runs too, and move each
 erring shot's errors to the run's start (``noise._apply_run_errors``).
 
 Every random stream is Philox (Salmon et al., SC'11) keyed by a seed,
-and its words are addressed by index.  ``_PHILOX`` holds one bit
-generator per thread and, for each read, sets its key and the counter of
-the first word, which gives the words a new ``np.random.Philox`` with
-that key would give from that index without building one.  Every
-reader holds at most ``_BLOCK_WORDS`` words of a stream at once.  The
-ideal sampler reads its raw words through ``_PHILOX.raw`` and counts
-each block at the integer limits of the CDF's edges, never decoding a
-word to a float, so its memory is O(block + outcomes), not O(shots).
-The synthesized dataset and the Monte Carlo baseline still read
-uniforms, through ``_PHILOX.blocks``.  Noisy trajectories read one
-stream per call too, its raw words in blocks of whole shots
-(``noise._draws``).
+and its words are addressed by index.  A stream's key comes from
+``derive_seed``: the 64 bits numpy's ``SeedSequence`` would give for
+its parts (after O'Neill's ``seed_seq_fe``, 2015), hashed from their
+32-bit words by ``_entropy_hash`` with no SeedSequence built.  The hash
+takes a uint32 array for any word, so ``training`` derives a block of
+evaluation keys in one pass.  ``_PHILOX`` holds one bit generator per
+thread and, for each read, sets its key and the counter of the first
+word, which gives the words a new ``np.random.Philox`` with that key
+would give from that index without building one.  Every reader holds
+at most ``_BLOCK_WORDS`` words of a stream at once.  The ideal sampler
+reads its raw words through ``_PHILOX.raw`` and counts each block at
+the integer limits of the CDF's edges, never decoding a word to a
+float, so its memory is O(block + outcomes), not O(shots).  The
+synthesized dataset and the Monte Carlo baseline still read uniforms,
+through ``_PHILOX.blocks``.  Noisy trajectories read one stream per
+call too, its raw words in blocks of whole shots (``noise._draws``).
 
 All operations are pure: they take a state in and return a new one.
 A circuit object simulates itself from |0...0> at most once, on first
@@ -113,16 +117,80 @@ _MATRICES = {
 }
 
 
+# The constants of numpy's SeedSequence (after O'Neill's seed_seq_fe,
+# 2015): its pool holds four 32-bit words.
+_MASK32 = 2**32 - 1
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_words(part: int) -> list[int]:
+    """A non-negative int's 32-bit words, least significant first, as
+    SeedSequence splits an entropy integer: 0 is one word."""
+    words = [part & _MASK32]
+    while part := part >> 32:
+        words.append(part & _MASK32)
+    return words
+
+
+def _hashmix(value, const: int, mult: int) -> tuple:
+    """(``value`` hashed with the running constant, the next constant)."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _entropy_hash(words: Sequence) -> tuple:
+    """(low, high): the first two 32-bit words that
+    ``np.random.SeedSequence(entropy).generate_state`` gives for the
+    entropy whose words are ``words``, so the key it would draw as one
+    uint64 is ``low | high << 32``.
+
+    Each word is a Python int below 2**32 or a uint32 array, never a
+    numpy scalar, whose overflow warns.  Arrays hash element by element,
+    so one pass derives a block of keys; ints stay ints.  Every product
+    is reduced to 32 bits before it meets an array.  The running
+    constants do not depend on the words, so entropy shorter than the
+    pool hashes as if padded with zero words."""
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL_WORDS):
+        value, const = _hashmix(words[i] if i < len(words) else 0, const, _MULT_A)
+        pool.append(value)
+
+    def mix(x, word):
+        nonlocal const
+        y, const = _hashmix(word, const, _MULT_A)
+        value = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+        return value ^ value >> 16
+
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], pool[src])
+    for word in words[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], word)
+    low, const = _hashmix(pool[0], _INIT_B, _MULT_B)
+    high, _ = _hashmix(pool[1], const, _MULT_B)
+    return low, high
+
+
 def derive_seed(*parts: int) -> int:
-    """Deterministically derive a child seed from integer components.
+    """Deterministically derive a child seed from integer components: the
+    uint64 that ``np.random.SeedSequence(list(parts)).generate_state(1,
+    np.uint64)`` gives, hashed here from the parts' 32-bit words with no
+    SeedSequence built.
 
     Used to give every (iteration, arm) evaluation and every noisy call
     its own reproducible random stream.
     """
     for i, part in enumerate(parts):
         check_seed(f"seed part {i}", part)
-    seq = np.random.SeedSequence([int(p) for p in parts])
-    return int(seq.generate_state(1, np.uint64)[0])
+    low, high = _entropy_hash([w for part in parts for w in _seed_words(int(part))])
+    return low | high << 32
 
 
 class SimulationError(ValueError):
@@ -146,10 +214,14 @@ def check_number(name: str, value, kind: type = numbers.Integral, low=None, high
     and infinities are refused; numpy scalars are accepted.  Integers skip
     the finiteness test, which overflows on one too large for a float;
     ``check_real`` refuses those in a real field."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
-    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+    # An exact int, or an exact finite float in a real field, passes
+    # without the slower ABC tests below.
+    t = type(value)
+    if t is not int and not (t is float and kind is numbers.Real and math.isfinite(value)):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if (low is not None and value < low) or (high is not None and value > high):
         bounds = f"in [{low}, {high}]" if high is not None else f">= {low}" if low else "non-negative"
         raise ValueError(f"{name} must be {bounds}, got {_shown(value)}")

@@ -6,6 +6,13 @@ for M shots, read off measured frequencies, score the mean squared
 error against the data, let a derivative-free optimizer update the
 angles) until the evaluation budget is spent.
 
+Evaluation k measures arm a from the stream keyed by
+``derive_seed(derive_seed(seed, k), a)``.  ``optimize`` hashes those
+keys for a block of evaluations at once (``_evaluation_keys``), a
+default run's 100 in one block, and keeps one arm circuit per distinct
+left angle and one per distinct pair, so a repeated angle simulates
+nothing again.
+
 A dataset holds one pointer per record.  A record can only be one of
 four ``(Arm, 0|1)`` pairs, so every dataset, however it was built,
 points at the module's four shared pairs instead of owning a tuple per
@@ -25,13 +32,24 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .backends import Backend, IdealBackend
 from .bandit import REWARD_QUBIT, Arm, BanditParams, _arm_circuits
 from .optimizers import OPTIMIZERS, check_radii
-from .statevector import _PHILOX, check_number, check_real, check_seed, derive_seed
+from .statevector import (
+    _BLOCK_WORDS,
+    _PHILOX,
+    Circuit,
+    _entropy_hash,
+    _seed_words,
+    check_number,
+    check_real,
+    check_seed,
+    derive_seed,
+)
 
 
 class DatasetError(ValueError):
@@ -261,11 +279,48 @@ def measured_frequencies(
     reward frequencies.  Each arm gets its own stream derived from
     (seed, arm index)."""
     check_number("shots", shots, low=1)
-    left, right = _arm_circuits(params)
-    return Frequencies(
-        backend.frequency(left, REWARD_QUBIT, shots, derive_seed(seed, 0)),
-        backend.frequency(right, REWARD_QUBIT, shots, derive_seed(seed, 1)),
+    return _frequencies(
+        _arm_circuits(params), shots, backend, (derive_seed(seed, 0), derive_seed(seed, 1))
     )
+
+
+def _frequencies(
+    circuits: tuple[Circuit, Circuit], shots: int, backend: Backend, keys
+) -> Frequencies:
+    """The reward frequencies of the (left, right) arm circuits, each
+    measured for ``shots`` shots from the stream of its key in ``keys``."""
+    left, right = circuits
+    return Frequencies(
+        backend.frequency(left, REWARD_QUBIT, shots, keys[0]),
+        backend.frequency(right, REWARD_QUBIT, shots, keys[1]),
+    )
+
+
+def _evaluation_keys(seed: int, start: int, stop: int) -> Iterator[list[int]]:
+    """[left key, right key] of each evaluation k in [start, stop):
+    ``derive_seed(derive_seed(seed, k), arm)`` for arm 0 and 1, hashed a
+    block of evaluations at a time.  Every k of a block has as many
+    32-bit words, and the block's keys fit in ``_BLOCK_WORDS`` words."""
+    seed_words = _seed_words(seed)
+    while start < stop:
+        width = len(_seed_words(start))
+        end = min(stop, start + _BLOCK_WORDS // 2, 2 ** (32 * width))
+        k_words = np.array([_seed_words(k) for k in range(start, end)], np.uint32)
+        yield from _arm_keys(*_entropy_hash(seed_words + list(k_words.T)))
+        start = end
+
+
+def _arm_keys(low: np.ndarray, high: np.ndarray) -> list[list[int]]:
+    """[derive_seed(parent, 0), derive_seed(parent, 1)] for each parent key
+    ``low | high << 32`` (uint32 arrays).  The entropy is [low, high, arm],
+    or [low, arm] for a parent below 2**32, which is one word; that hashes
+    as [low, arm, 0], since short entropy hashes as if padded with zeros."""
+    small = np.repeat(high == 0, 2)
+    arm = np.tile(np.array([0, 1], np.uint32), len(low))
+    low, high = np.repeat(low, 2), np.repeat(high, 2)
+    low, high = _entropy_hash([low, np.where(small, arm, high), np.where(small, 0, arm)])
+    keys = low.astype(np.uint64) | high.astype(np.uint64) << 32
+    return keys.reshape(-1, 2).tolist()
 
 
 def mse_loss(meas: Frequencies, data: Frequencies) -> float:
@@ -285,28 +340,41 @@ def optimize(
     Every objective evaluation is one full measurement cycle; evaluation
     k draws its shots from streams keyed by (config.seed, k, arm), so a
     rerun with the same config reproduces the trace exactly on the
-    ideal backend.  The optimizer's best point (lowest recorded loss) is
-    re-scored by one last evaluation, and that last trace entry is the
-    result's final point: ``final_theta`` and ``final_loss`` read it.
+    ideal backend.  Those keys are ``derive_seed(derive_seed(config.seed,
+    k), arm)``, derived for a block of evaluations in one hash.  The run
+    keeps one left-arm circuit per distinct left angle and one right-arm
+    circuit per distinct pair of angles, so a repeated angle reuses its
+    circuit and the state that circuit simulated once; every evaluation
+    still calls ``backend.frequency``.  The optimizer's best point
+    (lowest recorded loss) is re-scored by one last evaluation, and that
+    last trace entry is the result's final point: ``final_theta`` and
+    ``final_loss`` read it.  ``shots_per_eval`` above the backend's
+    ``max_shots`` is refused before any key or circuit is made.
     """
     backend = backend or IdealBackend()
+    check_number(
+        "shots_per_eval", config.shots_per_eval, low=1, high=getattr(backend, "max_shots", None)
+    )
     target = empirical_frequencies(data)
     trace: list[TraceEntry] = []
     # The searches move about one angle per evaluation, so about half the
     # trace's angles repeat an earlier one; the entries share one float
     # per distinct angle, keyed by its bits (hex keeps -0.0 apart from 0.0).
     angles: dict[str, float] = {}
+    # Arm circuits by the same keys: left by its angle, right by the pair.
+    lefts: dict[str, Circuit] = {}
+    pairs: dict[tuple[str, str], tuple[Circuit, Circuit]] = {}
+    keys = _evaluation_keys(config.seed, 0, config.max_iterations)
 
     def objective(theta: np.ndarray) -> float:
         k = len(trace)
         left, right = (angles.setdefault(a.hex(), a) for a in theta.tolist())
-        meas = measured_frequencies(
-            BanditParams(left, right),
-            config.shots_per_eval,
-            backend,
-            derive_seed(config.seed, k),
-        )
-        loss = mse_loss(meas, target)
+        bits = left.hex(), right.hex()
+        circuits = pairs.get(bits)
+        if circuits is None:
+            new_left, new_right = _arm_circuits(BanditParams(left, right))
+            circuits = pairs[bits] = lefts.setdefault(bits[0], new_left), new_right
+        loss = mse_loss(_frequencies(circuits, config.shots_per_eval, backend, next(keys)), target)
         trace.append(TraceEntry(k, left, right, loss))
         return loss
 
