@@ -214,14 +214,10 @@ def check_number(name: str, value, kind: type = numbers.Integral, low=None, high
     and infinities are refused; numpy scalars are accepted.  Integers skip
     the finiteness test, which overflows on one too large for a float;
     ``check_real`` refuses those in a real field."""
-    # An exact int, or an exact finite float in a real field, passes
-    # without the slower ABC tests below.
-    t = type(value)
-    if t is not int and not (t is float and kind is numbers.Real and math.isfinite(value)):
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
-        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     if (low is not None and value < low) or (high is not None and value > high):
         bounds = f"in [{low}, {high}]" if high is not None else f">= {low}" if low else "non-negative"
         raise ValueError(f"{name} must be {bounds}, got {_shown(value)}")

@@ -9,9 +9,7 @@ angles) until the evaluation budget is spent.
 Evaluation k measures arm a from the stream keyed by
 ``derive_seed(derive_seed(seed, k), a)``.  ``optimize`` hashes those
 keys for a block of evaluations at once (``_evaluation_keys``), a
-default run's 100 in one block, and keeps one arm circuit per distinct
-left angle and one per distinct pair, so a repeated angle simulates
-nothing again.
+default run's 100 in one block.
 
 A dataset holds one pointer per record.  A record can only be one of
 four ``(Arm, 0|1)`` pairs, so every dataset, however it was built,
@@ -300,8 +298,11 @@ def _evaluation_keys(seed: int, start: int, stop: int) -> Iterator[list[int]]:
     """[left key, right key] of each evaluation k in [start, stop):
     ``derive_seed(derive_seed(seed, k), arm)`` for arm 0 and 1, hashed a
     block of evaluations at a time.  Every k of a block has as many
-    32-bit words, and the block's keys fit in ``_BLOCK_WORDS`` words."""
-    seed_words = _seed_words(seed)
+    32-bit words, and the block's keys fit in ``_BLOCK_WORDS`` words.
+    Numpy integer arguments are taken as Python ints, as ``derive_seed``
+    takes its parts, since the hash refuses numpy scalars."""
+    seed_words = _seed_words(int(seed))
+    start, stop = int(start), int(stop)
     while start < stop:
         width = len(_seed_words(start))
         end = min(stop, start + _BLOCK_WORDS // 2, 2 ** (32 * width))
@@ -341,15 +342,12 @@ def optimize(
     k draws its shots from streams keyed by (config.seed, k, arm), so a
     rerun with the same config reproduces the trace exactly on the
     ideal backend.  Those keys are ``derive_seed(derive_seed(config.seed,
-    k), arm)``, derived for a block of evaluations in one hash.  The run
-    keeps one left-arm circuit per distinct left angle and one right-arm
-    circuit per distinct pair of angles, so a repeated angle reuses its
-    circuit and the state that circuit simulated once; every evaluation
-    still calls ``backend.frequency``.  The optimizer's best point
-    (lowest recorded loss) is re-scored by one last evaluation, and that
-    last trace entry is the result's final point: ``final_theta`` and
-    ``final_loss`` read it.  ``shots_per_eval`` above the backend's
-    ``max_shots`` is refused before any key or circuit is made.
+    k), arm)``, derived for a block of evaluations in one hash.  The
+    optimizer's best point (lowest recorded loss) is re-scored by one
+    last evaluation, and that last trace entry is the result's final
+    point: ``final_theta`` and ``final_loss`` read it.  ``shots_per_eval``
+    above the backend's ``max_shots`` is refused before any key or
+    circuit is made.
     """
     backend = backend or IdealBackend()
     check_number(
@@ -361,20 +359,15 @@ def optimize(
     # trace's angles repeat an earlier one; the entries share one float
     # per distinct angle, keyed by its bits (hex keeps -0.0 apart from 0.0).
     angles: dict[str, float] = {}
-    # Arm circuits by the same keys: left by its angle, right by the pair.
-    lefts: dict[str, Circuit] = {}
-    pairs: dict[tuple[str, str], tuple[Circuit, Circuit]] = {}
     keys = _evaluation_keys(config.seed, 0, config.max_iterations)
 
     def objective(theta: np.ndarray) -> float:
         k = len(trace)
         left, right = (angles.setdefault(a.hex(), a) for a in theta.tolist())
-        bits = left.hex(), right.hex()
-        circuits = pairs.get(bits)
-        if circuits is None:
-            new_left, new_right = _arm_circuits(BanditParams(left, right))
-            circuits = pairs[bits] = lefts.setdefault(bits[0], new_left), new_right
-        loss = mse_loss(_frequencies(circuits, config.shots_per_eval, backend, next(keys)), target)
+        meas = _frequencies(
+            _arm_circuits(BanditParams(left, right)), config.shots_per_eval, backend, next(keys)
+        )
+        loss = mse_loss(meas, target)
         trace.append(TraceEntry(k, left, right, loss))
         return loss
 
