@@ -16,7 +16,7 @@ import numpy as np
 
 from .bandit import BanditParams, PolicySpec, reward_probability
 from .qpe import qsample_count
-from .statevector import _PHILOX, check_number, check_real, check_seed
+from .statevector import _PHILOX, _limit, check_number, check_real, check_seed
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,17 @@ def monte_carlo_estimate(
     policy: PolicySpec, params: BanditParams, num_samples: int, seed: int
 ) -> McEstimate:
     """Mean reward over ``num_samples`` i.i.d. episodes.  Episode i picks
-    its arm with uniform i of the Philox stream keyed by ``seed`` and
-    draws its reward with uniform ``num_samples + i``."""
+    the left arm when word i of the Philox stream keyed by ``seed``, as
+    its uniform (w >> 11) * 2**-53, is below ``p_left``, and wins when
+    word ``num_samples + i``'s is below the arm's win probability: each
+    compares w >> 11 with the probability's ``_limit``."""
     check_number("num_samples", num_samples, low=1)
     check_seed("seed", seed, key=True)
-    win_left = reward_probability(params.theta_left)
-    win_right = reward_probability(params.theta_right)
+    left = _limit(policy.p_left)
+    win_left = _limit(reward_probability(params.theta_left))
+    win_right = _limit(reward_probability(params.theta_right))
     wins = sum(
-        int(np.count_nonzero(rewards < np.where(arms < policy.p_left, win_left, win_right)))
+        int(np.count_nonzero((rewards >> 11) < np.where((arms >> 11) < left, win_left, win_right)))
         for arms, rewards in zip(
             _PHILOX.blocks(seed, num_samples), _PHILOX.blocks(seed, num_samples, num_samples)
         )

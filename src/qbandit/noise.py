@@ -16,16 +16,18 @@ Philox is counter-based, so a shot's words are read by index, in blocks
 of whole shots through ``statevector._PHILOX.raw``, at most
 ``_BLOCK_WORDS`` words (or one shot, if that is more), and a shot's
 draws do not depend on its chunk or block.  A word w stands for u = w >>
-11, a uniform integer below 2**53:
+11, a uniform integer below 2**53, and is compared with integer limits
+(``statevector._limit``), never decoded to a float:
 
-* slot word w errs when u < B, B = ceil(rate * 2**53), which is the
-  uniform u * 2**-53 below the rate;
+* slot word w errs when u < B, B = ``_limit(rate)``, which is when the
+  uniform u * 2**-53 is below the rate;
 * an erring slot's Pauli is X, Y or Z by its index 3u // B.  Given an
   error, u is uniform on [0, B), so each Pauli comes up for floor(B/3)
   or ceil(B/3) of its values: its probability is within 1/B of 1/3, and
   its absolute probability within 2**-53 of rate / 3;
-* the measurement and readout words are uniforms u * 2**-53; a measured
-  bit flips when its word's uniform is below ``readout_flip``.
+* the measurement word's u selects the outcome at the limits of the
+  CDF's values (``_draw``), and a measured bit flips when its readout
+  word's u is below ``_limit(readout_flip)``.
 
 So a block's errors are one comparison and one ``nonzero``.
 ``tests/helpers.reference_trajectory`` reads the same words by index,
@@ -71,7 +73,6 @@ chosen so that deeper circuits visibly degrade more.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -86,6 +87,7 @@ from .statevector import (
     _bitstring,
     _draw,
     _gate_rows,
+    _limit,
     _Local,
     _local,
     _marginal,
@@ -133,8 +135,8 @@ class NoiseConfig:
 
 class _Slots(NamedTuple):
     """One slot per (gate, touched qubit), in the order of a shot's slot
-    words: the gate's index, the qubit, and ``below``, the gate's error
-    rate on a word's top 53 bits, ceil(rate * 2**53)."""
+    words: the gate's index, the qubit, and ``below``, the integer limit
+    of the gate's error rate, ``_limit(rate)``."""
 
     gate: np.ndarray
     qubit: np.ndarray
@@ -151,27 +153,26 @@ class _Slots(NamedTuple):
         width = np.concatenate(widths)
         wide = np.repeat(width > 1, width).astype(np.intp)
         gate = np.repeat(np.arange(len(width)), width)
-        bounds = np.array([math.ceil(config.p1 * 2**53), math.ceil(config.p2 * 2**53)], dtype=np.uint64)
-        return cls(gate, np.concatenate(qubits), bounds[wide])
+        return cls(gate, np.concatenate(qubits), _limit([config.p1, config.p2])[wide])
 
 
 def _draws(key: int, first: int, shots: int, slots: _Slots, reads: int) -> tuple:
     """Shots ``first`` to ``first + shots - 1`` of ``key``'s stream: their
     Pauli errors, as ``(shot, slot, pauli)`` arrays with shots counted
-    from ``first``, and their ``(shots, reads)`` readout uniforms.  The
-    words are read in blocks of whole shots, each shifted to u = w >> 11
+    from ``first``, and their ``(shots, reads)`` readout words, each as u
+    = w >> 11.  The words are read in blocks of whole shots, each shifted
     in place."""
     size = len(slots.below)
     width = size + reads
     rows = max(1, _BLOCK_WORDS // width)
-    found, readout = [], np.empty((shots, reads))
+    found, readout = [], np.empty((shots, reads), np.uint64)
     for start in range(0, shots, rows):
         count = min(rows, shots - start)
         words = _PHILOX.raw(key, (first + start) * width)(count * width).reshape(count, width)
         words >>= 11
         row, slot = np.divmod(np.flatnonzero(words[:, :size] < slots.below), size)
         found.append((row + start, slot, 3 * words[row, slot] // slots.below[slot]))
-        readout[start : start + count] = words[:, size:] * 2.0**-53
+        readout[start : start + count] = words[:, size:]
         del words  # before the next block is read, which can then take its memory
     shot, slot, pauli = (np.concatenate(v) for v in zip(*found))
     return shot, slot, pauli, readout
@@ -321,7 +322,7 @@ def _trajectories(
                 _apply_run_errors(amps, n, local, len(segment), gates[a:b] - offset, *(s[a:b] for s in strings), arena)
             _apply_matrix(amps, n, *step, arena)
         marg = _marginal(amps, n, qubits, arena)
-        flips = (readout[:, 1:] < config.readout_flip).dot(1 << np.arange(len(qubits)))
+        flips = (readout[:, 1:] < _limit(config.readout_flip)).dot(1 << np.arange(len(qubits)))
         outcomes = _draw(marg, readout[:, 0]) ^ flips
         seen, first, reps = np.unique(outcomes, return_index=True, return_counts=True)
         order = np.argsort(first)  # first-seen order

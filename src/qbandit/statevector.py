@@ -16,7 +16,7 @@ takes one state or a batch of states held as columns and writes
 ``matrix @ block`` for every gate, with no special case for any matrix;
 the one other is the ideal plan's FFT for phase estimation's inverse
 QFT, below.  The marginal and the inverse-CDF draw (``_draw``) take a
-batch too, one state and one uniform per column.
+batch too, one state and one word's u per column.
 
 The ideal paths (``apply_circuit``, ``Circuit.final_state`` and
 ``circuit_unitary``) run a circuit's step plan, ``Circuit.steps``, made
@@ -47,13 +47,15 @@ evaluation keys in one pass.  ``_PHILOX`` holds one bit generator per
 thread and, for each read, sets its key and the counter of the first
 word, which gives the words a new ``np.random.Philox`` with that key
 would give from that index without building one.  Every reader holds
-at most ``_BLOCK_WORDS`` words of a stream at once.  The ideal sampler
-reads its raw words through ``_PHILOX.raw`` and counts each block at
-the integer limits of the CDF's edges, never decoding a word to a
-float, so its memory is O(block + outcomes), not O(shots).  The
-synthesized dataset and the Monte Carlo baseline still read uniforms,
-through ``_PHILOX.blocks``.  Noisy trajectories read one stream per
-call too, its raw words in blocks of whole shots (``noise._draws``).
+at most ``_BLOCK_WORDS`` words of a stream at once.  No word is
+decoded to a float: word w stands for u = w >> 11, a uniform integer
+below 2**53, and u * 2**-53 < e exactly when u < ``_limit(e)`` =
+ceil(e * 2**53), so every reader compares words with integer limits.
+The ideal sampler, the synthesized dataset and the Monte Carlo baseline
+read raw words through ``_PHILOX.blocks``; the sampler counts each
+block at the limits of the CDF's edges, so its memory is O(block +
+outcomes), not O(shots).  Noisy trajectories read one stream per call
+too, its raw words in blocks of whole shots (``noise._draws``).
 
 All operations are pure: they take a state in and return a new one.
 A circuit object simulates itself from |0...0> at most once, on first
@@ -276,30 +278,33 @@ class _Philox(threading.local):
             self._bitgen.random_raw(start % 4)
         return self._bitgen.random_raw
 
-    def uniforms(self, key: int, count: int, start: int = 0) -> np.ndarray:
-        """Uniforms ``start`` to ``start + count - 1`` of ``key``'s stream,
-        as numpy's ``Generator.random`` draws them from a new Philox with
-        that key: word w is ``(w >> 11) * 2**-53``.  The only decode of
-        words to uniforms outside ``noise``."""
-        return (self.raw(key, start)(count) >> 11) * 2.0**-53
-
     def blocks(self, key: int, count: int, start: int = 0) -> Iterator[np.ndarray]:
-        """``uniforms(key, count, start)`` in consecutive blocks of at most
-        ``_BLOCK_WORDS``.  Each block is read afresh, so the blocks of two
-        streams may be interleaved on one thread."""
+        """Raw words ``start`` to ``start + count - 1`` of ``key``'s stream
+        in consecutive blocks of at most ``_BLOCK_WORDS``.  Each block is
+        read afresh, so the blocks of two streams may be interleaved on one
+        thread."""
         for first in range(start, start + count, _BLOCK_WORDS):
-            yield self.uniforms(key, min(_BLOCK_WORDS, start + count - first), first)
+            yield self.raw(key, first)(min(_BLOCK_WORDS, start + count - first))
 
 
 _PHILOX = _Philox()
 
 # A block of raw words holds at most this many (512 KB of uint64), so a
-# sampler's memory does not grow with the stream it reads.  The ideal
-# sampler reads its words in blocks of this size, and every reader of
-# uniforms takes them so (``_Philox.blocks``); the noisy draws read as
-# many whole shots' words in one block as fit, or one shot if that is
-# longer.
+# reader's memory does not grow with the stream it reads.  The ideal
+# sampler, the dataset and the baseline read their words in blocks of
+# this size (``_Philox.blocks``); the noisy draws read as many whole
+# shots' words in one block as fit, or one shot if that is longer.
 _BLOCK_WORDS = 2**16
+
+
+def _limit(e) -> np.ndarray:
+    """ceil(e * 2**53) as uint64, for a scalar or an array of floats: a
+    53-bit uniform integer u, the word w >> 11, stands for u * 2**-53,
+    and u * 2**-53 < e exactly when u < _limit(e).  Both products are
+    exact, a power of two times a float.  The package's only decode.
+    numpy's scalar types convert an array whole, and a scalar at a third
+    of ``np.asarray``'s cost, which the ideal sampler pays per edge."""
+    return np.uint64(np.ceil(np.float64(e) * 2.0**53))
 
 
 @dataclass(frozen=True)
@@ -803,15 +808,15 @@ def _marginal(
     return marg.reshape(-1, cols)
 
 
-def _draw(marg: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling: the outcome index each uniform in [0, 1)
-    selects.  One marginal ``(outcomes,)`` takes any number of uniforms; a
-    batch ``(outcomes, B)`` of marginals takes one uniform per column."""
+def _draw(marg: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling of a batch ``(outcomes, B)`` of marginals: the
+    outcome each column's 53-bit uniform integer ``us[c]`` selects, the
+    number of CDF values at or below u * 2**-53."""
     cdf = np.cumsum(marg, axis=0)
     cdf[-1] = 1.0
-    # searchsorted(side="right")'s answer: the CDF values at or below the uniform.
-    # Only the last can break the order, and it is 1.0, above every uniform.
-    return (cdf.reshape(len(cdf), -1) <= uniforms).sum(axis=0)
+    # searchsorted(side="right")'s answer.  Only the last value can break
+    # the order, and its limit, 2**53, is above every u.
+    return (_limit(cdf) <= us).sum(axis=0)
 
 
 # Up to this many CDF edges, one pass over the uint64 words per edge
@@ -824,30 +829,27 @@ _EDGE_PASSES = 4
 
 def _tally(marg: np.ndarray, words: np.ndarray) -> np.ndarray:
     """counts[k]: how many of the raw Philox ``words`` select outcome k of
-    ``marg``, the outcome ``_draw`` gives each word's uniform (w >> 11) *
-    2**-53.
+    ``marg``, the outcome ``_draw`` gives each word's u = w >> 11.
 
-    Outcome <= k exactly when u < cdf[k], so counts[k] = below[k] -
-    below[k - 1], with below[k] the words under edge k.  The words are
-    counted as they are, never decoded: (w >> 11) * 2**-53 < e holds
-    exactly when w >> 11 < ceil(e * 2**53), which is when w is below the
-    edge's integer limit L(e) = ceil(e * 2**53) * 2**11.  An edge that is
-    not below 1.0, whose limit would be 2**64 or more, is above every
-    word; the last edge is 1.0.  Only the edges are counted, never a
-    per-shot outcome, so memory is O(words + outcomes).
+    Outcome <= k exactly when u < ``_limit(cdf[k])``, so counts[k] =
+    below[k] - below[k - 1], with below[k] the words under edge k.  The
+    words are counted as they are, never shifted: u < L exactly when w <
+    L * 2**11.  An edge that is not below 1.0, whose limit would be 2**64
+    or more, is above every word; the last edge is 1.0.  Only the edges
+    are counted, never a per-shot outcome, so memory is O(words +
+    outcomes).
     """
     edges = marg.cumsum()[:-1]  # the method: ``np.cumsum`` costs a µs more
     if edges.size <= _EDGE_PASSES:
         below = [0]
         for e in edges.tolist():
-            below.append(np.count_nonzero(words < (math.ceil(e * 2**53) << 11)) if e < 1.0 else words.size)
+            below.append(np.count_nonzero(words < (_limit(e) << 11)) if e < 1.0 else words.size)
         below = np.array([*below, words.size])
     else:
         inside = edges < 1.0
         below = np.full(edges.size + 2, words.size)
         below[0] = 0
-        limits = np.ceil(edges[inside] * 2.0**53).astype(np.uint64) << 11
-        below[1:-1][inside] = np.searchsorted(np.sort(words), limits)  # strictly below
+        below[1:-1][inside] = np.searchsorted(np.sort(words), _limit(edges[inside]) << 11)  # strictly below
     return below[1:] - below[:-1]
 
 
@@ -931,9 +933,7 @@ def _sample_tally(
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
     marg = _marginal(state.amps, state.num_qubits, qubits)
-    read = _PHILOX.raw(seed)  # the stream from word 0, block after block
-    blocks = (read(min(_BLOCK_WORDS, shots - first)) for first in range(0, shots, _BLOCK_WORDS))
-    return marg, sum(_tally(marg, words) for words in blocks)
+    return marg, sum(_tally(marg, words) for words in _PHILOX.blocks(seed, shots))
 
 
 def sample_counts(
@@ -945,14 +945,13 @@ def sample_counts(
     """Draw i.i.d. measurement shots from the exact distribution.
 
     Shot i is a pure function of (seed, i): the i-th word of the Philox
-    stream keyed by ``seed``, as the uniform (w >> 11) * 2**-53, selects
-    the outcome whose CDF step it falls in, so results do not depend on
-    evaluation order.  The raw words are read through ``_PHILOX.raw`` in
-    blocks of at most ``_BLOCK_WORDS`` and each block is counted at the
-    CDF's integer edges (``_tally``) rather than shot by shot, never
-    decoded to floats; the blocks' counts add up to those of the per-shot
-    inverse CDF.  Outcomes appear in increasing index order, those with
-    no shot left out.
+    stream keyed by ``seed`` selects the outcome whose CDF step its
+    uniform (w >> 11) * 2**-53 falls in, so results do not depend on
+    evaluation order.  The raw words are read through ``_PHILOX.blocks``
+    and each block is counted at the integer limits of the CDF's edges
+    (``_tally``) rather than shot by shot; the blocks' counts add up to
+    those of the per-shot inverse CDF.  Outcomes appear in increasing
+    index order, those with no shot left out.
     """
     marg, tally = _sample_tally(state, shots, seed, qubits)
     counts = {_bitstring(m, marg): int(tally[m]) for m in np.flatnonzero(tally)}

@@ -42,6 +42,7 @@ from .statevector import (
     _PHILOX,
     Circuit,
     _entropy_hash,
+    _limit,
     _seed_words,
     check_number,
     check_real,
@@ -232,19 +233,20 @@ def synthesize_dataset(
     f_left: float, f_right: float, pulls_per_arm: int, seed: int
 ) -> TransitionDataset:
     """Draw a balanced Bernoulli dataset with the given win probabilities:
-    pull i of the left arm wins when uniform i of the Philox stream keyed
-    by ``seed`` is below ``f_left``, and the right arm's pulls take the
-    next ``pulls_per_arm`` uniforms."""
+    pull i of the left arm wins when word i of the Philox stream keyed by
+    ``seed``, as its uniform (w >> 11) * 2**-53, is below ``f_left``,
+    which is when w >> 11 is below ``_limit(f_left)``; the right arm's
+    pulls take the next ``pulls_per_arm`` words."""
     check_real("f_left", f_left, 0, 1)
     check_real("f_right", f_right, 0, 1)
     check_number("pulls_per_arm", pulls_per_arm, low=1)
     check_seed("seed", seed, key=True)
-    arms = ((Arm.LEFT, f_left, 0), (Arm.RIGHT, f_right, pulls_per_arm))
+    arms = ((Arm.LEFT, _limit(f_left), 0), (Arm.RIGHT, _limit(f_right), pulls_per_arm))
     return TransitionDataset(
         chain.from_iterable(
-            map(_PAIRS[arm].__getitem__, (draws < f).tolist())
-            for arm, f, start in arms
-            for draws in _PHILOX.blocks(seed, pulls_per_arm, start)
+            map(_PAIRS[arm].__getitem__, ((words >> 11) < limit).tolist())
+            for arm, limit, start in arms
+            for words in _PHILOX.blocks(seed, pulls_per_arm, start)
         )
     )
 

@@ -14,7 +14,6 @@ from qbandit.statevector import (
     _Fourier,
     _apply_matrix,
     _bitstring,
-    _draw,
     _marginal,
     derive_seed,
     h,
@@ -96,8 +95,9 @@ def reference_trajectory(circ: Circuit, config, seed: int, qubits=None, shot: in
     touched qubit), one for the measurement and one per measured qubit.
     Per gate it applies the gate and, for each touched qubit whose word
     has u = w >> 11 below B = ceil(rate * 2**53), the Pauli 3u // B; then
-    it measures with the next word's uniform u * 2**-53 and flips each
-    measured bit whose word's uniform is below the readout rate."""
+    it measures with the next word's uniform u * 2**-53, by its own float
+    inverse CDF, and flips each measured bit whose word's uniform is below
+    the readout rate."""
     n = circ.num_qubits
     amps = new_state(n).amps
     measured = n if qubits is None else len(tuple(qubits))
@@ -111,7 +111,9 @@ def reference_trajectory(circ: Circuit, config, seed: int, qubits=None, shot: in
             if u < below:
                 _apply_matrix(amps, n, _PAULIS[3 * u // below], (qubit,), ())
     marg = _marginal(amps, n, qubits)
-    m = int(_draw(marg, np.array([next(words) * 2.0**-53]))[0])
+    cdf = np.cumsum(marg)
+    cdf[-1] = 1.0
+    m = int(np.searchsorted(cdf, next(words) * 2.0**-53, side="right"))
     for j, u in enumerate(words):
         if u * 2.0**-53 < config.readout_flip:
             m ^= 1 << j

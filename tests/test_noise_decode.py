@@ -47,7 +47,7 @@ class WordsPhilox:
 
 def decode(monkeypatch, words, slots, shots, reads):
     """``_draws`` of ``shots`` shots from ``words``: (shot, slot, pauli)
-    triples in stream order, and the readout uniforms."""
+    triples in stream order, and the readout words' u = w >> 11."""
     monkeypatch.setattr(noise, "_PHILOX", WordsPhilox(words))
     shot, slot, pauli, readout = _draws(0, 0, shots, slots, reads)
     return list(zip(shot.tolist(), slot.tolist(), pauli.tolist())), readout
@@ -71,18 +71,18 @@ def test_hand_built_words_by_slot_and_shot(monkeypatch):
     words = [word(k), word(k + 1), word(big), word(0), word(big - 1), word(2**53 - 1), word(big), word(2**52)]
     errors, readout = decode(monkeypatch, words, slots, 2, 1)
     assert errors == [(0, 0, 0), (0, 1, 1), (1, 0, 2)]
-    assert readout.tolist() == [[0.0], [0.5]]
+    assert readout.tolist() == [[0], [2**52]]
 
 
 def test_uniform_edges(monkeypatch):
     # Word 0 is the uniform 0.0: below any positive rate, never below 0.
-    # The all-ones word is the largest uniform below 1.0, below rate 1,
-    # and its Pauli is Z.
+    # The all-ones word is the largest uniform below 1.0, u = 2**53 - 1,
+    # below rate 1, and its Pauli is Z.
     slots = _Slots.of(Circuit(2, (h(0), h(0).controlled(1))), NoiseConfig(p1=0.0, p2=1.0))
     top = 2**64 - 1
     errors, readout = decode(monkeypatch, [0, top, 0, top, 0, top], slots, 1, 3)
     assert errors == [(0, 1, 2), (0, 2, 0)]
-    assert readout.tolist() == [[1 - 2.0**-53, 0.0, 1 - 2.0**-53]]
+    assert readout.tolist() == [[2**53 - 1, 0, 2**53 - 1]]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -141,23 +141,25 @@ def test_batched_marginal_and_draw_match_each_column(width, batch, seed):
     amps = rng.normal(size=(2**width, batch)) + 1j * rng.normal(size=(2**width, batch))
     amps /= np.linalg.norm(amps, axis=0)
     qubits = tuple(rng.permutation(width)[: rng.integers(1, width + 1)].tolist())
-    uniforms = rng.random(batch)
+    us = rng.integers(0, 2**53, size=batch, dtype=np.uint64)
     marg = _marginal(amps, width, qubits)
-    draws = _draw(marg, uniforms)
+    draws = _draw(marg, us)
     for col in range(batch):
         alone = _marginal(amps[:, col].copy(), width, qubits)
         assert np.array_equal(marg[:, col], alone)
-        assert draws[col] == _draw(alone, uniforms[col : col + 1])[0]
+        assert draws[col] == _draw(alone[:, None], us[col : col + 1])[0]
 
 
 def test_batched_draw_on_a_cdf_step():
-    # A uniform equal to a CDF value selects the next outcome, as
-    # searchsorted(side="right") does for one state.
+    # A u equal to a CDF value's limit, whose uniform is that value,
+    # selects the next outcome, as searchsorted(side="right") does for
+    # one state; the u below it selects the outcome before.
     marg = np.array([[0.5, 0.25, 0.0], [0.5, 0.75, 1.0]])
-    uniforms = np.array([0.5, 0.25, 0.0])
-    assert _draw(marg, uniforms).tolist() == [1, 1, 1]
+    us = np.array([2**52, 2**51, 0], dtype=np.uint64)
+    assert _draw(marg, us).tolist() == [1, 1, 1]
+    assert _draw(marg[:, :2], us[:2] - 1).tolist() == [0, 0]
     for col in range(3):
-        assert _draw(marg[:, col], uniforms[col : col + 1])[0] == 1
+        assert _draw(marg[:, col : col + 1], us[col : col + 1])[0] == 1
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64 + 5, 2**128 - 1])

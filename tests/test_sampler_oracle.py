@@ -32,7 +32,11 @@ SEEDS = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(seed=SEEDS, count=st.integers(1, 5000))
 def test_rekeyed_uniforms_are_a_new_streams_bitwise(seed, count):
-    assert np.array_equal(_PHILOX.uniforms(seed, count), fresh_uniforms(seed, count))
+    # The rekeyed words are a new stream's, and the uniform each stands
+    # for, (w >> 11) * 2**-53, is the one its Generator draws.
+    words = np.concatenate(list(_PHILOX.blocks(seed, count)))
+    assert np.array_equal(words, stream_words(seed, 0, count))
+    assert np.array_equal((words >> 11) * 2.0**-53, fresh_uniforms(seed, count))
 
 
 # Amplitudes as a simulated circuit leaves them, and with the bins or

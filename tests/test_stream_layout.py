@@ -1,8 +1,8 @@
-"""Every module reads its random words through ``statevector._PHILOX``:
-only ``statevector`` names ``np.random`` in code, and no other module
-calls ``_PHILOX.uniforms``, whose whole-prefix reads go through
-``_PHILOX.blocks`` (``noise`` reads ``raw`` words in blocks of whole
-shots)."""
+"""Every module reads its random words through ``statevector._PHILOX``,
+and compares them with integer limits from one place: only
+``statevector`` names ``np.random`` in code, and the 53-bit scale of a
+word's uniform, 2**53 or 2**-53, appears in code only inside
+``statevector._limit``, the package's one decode."""
 
 import ast
 from pathlib import Path
@@ -29,15 +29,33 @@ def names_numpy_random(tree: ast.AST) -> bool:
     return False
 
 
-def calls_philox_uniforms(tree: ast.AST) -> bool:
-    return any(
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "uniforms"
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "_PHILOX"
-        for node in ast.walk(tree)
-    )
+# (module, top-level name) of every 2**53 or 2**-53 allowed in code.
+# ``MAX_APPORTION_SHOTS`` is a bound on shot counts, where a float
+# product stops being exact, not a decode of a word.
+SCALE_ALLOWED = {("statevector.py", "_limit"), ("backends.py", "MAX_APPORTION_SHOTS")}
+
+
+def is_scale(node: ast.AST) -> bool:
+    """``node`` is 2**53, 2.0**53, 2**-53 or 2.0**-53."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
+        return False
+    base, power = node.left, node.right
+    if isinstance(power, ast.UnaryOp) and isinstance(power.op, ast.USub):
+        power = power.operand
+    constant = lambda n, values: isinstance(n, ast.Constant) and type(n.value) in (int, float) and n.value in values
+    return constant(base, (2,)) and constant(power, (53,))
+
+
+def scale_scopes(tree: ast.Module) -> list[str]:
+    """The top-level function, class or assigned name around each
+    53-bit scale in code, or ``<module>``; a docstring is a string, so
+    it never holds one."""
+    found = []
+    for stmt in tree.body:
+        targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+        names = [stmt.name] if hasattr(stmt, "name") else [t.id for t in targets if isinstance(t, ast.Name)]
+        found += [names[0] if len(names) == 1 else "<module>" for node in ast.walk(stmt) if is_scale(node)]
+    return found
 
 
 def test_the_package_has_its_modules():
@@ -50,9 +68,12 @@ def test_only_statevector_reads_numpy_random(path):
     assert names_numpy_random(tree) == (path.name == "statevector.py")
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "statevector.py"], ids=lambda p: p.name)
-def test_no_other_module_reads_a_whole_prefix_at_once(path):
-    assert not calls_philox_uniforms(ast.parse(path.read_text(), str(path)))
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_limit_holds_the_53_bit_scale(path):
+    scopes = scale_scopes(ast.parse(path.read_text(), str(path)))
+    assert {(path.name, scope) for scope in scopes} <= SCALE_ALLOWED
+    if path.name == "statevector.py":
+        assert "_limit" in scopes
 
 
 def test_the_guards_see_what_they_look_for():
@@ -60,5 +81,6 @@ def test_the_guards_see_what_they_look_for():
     assert names_numpy_random(ast.parse("from numpy.random import Philox"))
     assert names_numpy_random(ast.parse("from numpy import random"))
     assert not names_numpy_random(ast.parse('"""np.random.Philox"""'))
-    assert calls_philox_uniforms(ast.parse("_PHILOX.uniforms(1, 2)"))
-    assert not calls_philox_uniforms(ast.parse("_PHILOX.blocks(1, 2)"))
+    code = "def f(e):\n    return e * 2.0**53\nclass C:\n    x = u * 2**-53\ny = 2**53\nz: int = 2.0**-53\nt = 2**54, 3**53"
+    assert scale_scopes(ast.parse(code)) == ["f", "C", "y", "z"]
+    assert scale_scopes(ast.parse('"""2**53, 2.0**-53"""\nx = (1 << 53) * 2**-52')) == []

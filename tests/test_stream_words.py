@@ -1,7 +1,8 @@
-"""``_PHILOX`` reads a keyed stream by word index: ``uniforms`` and the
-concatenated ``blocks`` from word ``start`` equal the tail of a new
-Philox stream's uniforms, whatever the key, the start and the count, and
-the blocks of several streams may be read side by side on one thread."""
+"""``_PHILOX`` reads a keyed stream by word index: the concatenated raw
+``blocks`` from word ``start`` equal a new Philox stream's words from
+that index, whatever the key, the start, the count and the block size,
+and the blocks of several streams may be read side by side on one
+thread."""
 
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fresh_uniforms, reference_dataset, reference_mc_estimate
+from helpers import reference_dataset, reference_mc_estimate, stream_words
 from qbandit import statevector
 from qbandit.bandit import BanditParams, PolicySpec, reward_probability
 from qbandit.baseline import monte_carlo_estimate
@@ -29,16 +30,16 @@ INDICES = st.one_of(
 
 
 def joined(blocks) -> np.ndarray:
-    return np.concatenate([np.empty(0), *blocks])
+    return np.concatenate([np.empty(0, np.uint64), *blocks])
 
 
 @settings(max_examples=150, deadline=None)
 @given(key=KEYS, start=INDICES, count=INDICES)
 def test_words_read_from_an_index_are_a_new_streams_tail(key, start, count):
-    want = fresh_uniforms(key, start + count)[start:]
-    assert np.array_equal(_PHILOX.uniforms(key, count, start), want)
+    want = stream_words(key, start, count)
+    assert np.array_equal(_PHILOX.raw(key, start)(count), want)
     blocks = list(_PHILOX.blocks(key, count, start))
-    assert all(0 < len(block) <= _BLOCK_WORDS for block in blocks)
+    assert all(0 < len(block) <= _BLOCK_WORDS and block.dtype == np.uint64 for block in blocks)
     assert len(blocks) == -(-count // _BLOCK_WORDS)
     assert np.array_equal(joined(blocks), want)
 
@@ -50,14 +51,14 @@ def test_small_blocks_cover_the_same_words(key, start, count, block):
         patch.setattr(statevector, "_BLOCK_WORDS", block)
         blocks = list(_PHILOX.blocks(key, count, start))
     assert [len(b) for b in blocks] == [min(block, count - i) for i in range(0, count, block)]
-    assert np.array_equal(joined(blocks), fresh_uniforms(key, start + count)[start:])
+    assert np.array_equal(joined(blocks), stream_words(key, start, count))
 
 
 def test_zipped_blocks_give_each_stream_its_own_words(monkeypatch):
     monkeypatch.setattr(statevector, "_BLOCK_WORDS", 5)
     first, second = zip(*zip(_PHILOX.blocks(3, 23), _PHILOX.blocks(2**128 - 1, 23, 6)))
-    assert np.array_equal(np.concatenate(first), fresh_uniforms(3, 23))
-    assert np.array_equal(np.concatenate(second), fresh_uniforms(2**128 - 1, 29)[6:])
+    assert np.array_equal(np.concatenate(first), stream_words(3, 0, 23))
+    assert np.array_equal(np.concatenate(second), stream_words(2**128 - 1, 6, 23))
 
 
 @settings(max_examples=40, deadline=None)
