@@ -50,14 +50,14 @@ def monte_carlo_estimate(
 
 def mc_samples_needed(epsilon: float, delta: float) -> int:
     """Hoeffding sample count for |estimate - v| <= epsilon with failure
-    probability at most delta: ceil(ln(2/delta) / (2 epsilon^2)),
-    clamped to at least one sample."""
+    probability at most delta, in (0, 1]: ceil(ln(2/delta) / (2
+    epsilon^2)), clamped to at least one sample."""
     check_real("epsilon", epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     check_real("delta", delta)
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must be {'positive' if delta <= 0.0 else 'at most 1'}, got {delta}")
     count = math.log(2.0 / delta) / (2.0 * epsilon**2) if epsilon**2 else math.inf
     check_real("epsilon's Hoeffding count", count)
     return max(1, math.ceil(count))

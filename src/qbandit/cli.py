@@ -54,8 +54,10 @@ from .training import (
 # began applying phase estimation's inverse QFT as one FFT; 4 moved the
 # noisy shots, when each noisy call began reading one keyed stream with
 # one word per slot, and the angles ``angle_from_frequency`` rounds
-# differently since it takes them by atan2.
-OUTPUT_VERSION = 4
+# differently since it takes them by atan2; 5 moved the last digits of
+# ideal ``exact_prob`` cells, when the ideal plan began folding
+# single-copy runs as the noisy path does.
+OUTPUT_VERSION = 5
 
 
 class ConfigError(ValueError):

@@ -36,19 +36,19 @@ one gate at a time, and the tests hold the two to the same counts.
 The shots then go through the circuit together, one state per column,
 in chunks of at most ``_CHUNK_AMPS`` amplitudes.  The chunk's errors
 are grouped by (gate, shot) into Pauli strings, sorted by gate, and a
-gate's or a run's strings are a slice found by ``searchsorted``.  A circuit given by
-runs (``Circuit.runs``) takes each run whose segment has two or more
-gates on at most ``statevector._FOLD_QUBITS`` qubits as one
-``_apply_matrix`` of U^m on the whole chunk, U being the segment's
-matrix and m its copies, from the same local products and squarings as
-the ideal step plan.  So a shot with no error in a run of two or more
-copies gets the ideal plan's matrix; a run of one copy is also one U
-here, but the ideal plan (``Circuit.steps``) runs it gate by gate, so
-there the two may round differently.  An erring shot first takes its
-run's errors, moved to the run's start (``_apply_run_errors``): an
-error P after the gate that completes V of the run becomes V^dagger P
-V before it, an identity, so each trajectory stays exact.  Every other gate, and every gate of a
-flat gate list, is one ``_apply_matrix`` on the whole chunk, and its
+gate's or a run's strings are a slice found by ``searchsorted``.  The
+trajectories read the circuit's run plan (``Circuit.run_plan``), the one
+the ideal step plan reads, and build none: each run that folds there
+(two or more gates, counting copies, on at most
+``statevector._FOLD_QUBITS`` qubits) is one ``_apply_matrix`` of U^m on
+the whole chunk, U being the segment's matrix and m its copies, so a
+shot with no error in it gets the ideal plan's matrix (a marked
+``_InverseQft``, which the ideal plan takes as an FFT, aside).  An
+erring shot first takes its run's errors, moved to the run's start
+(``_apply_run_errors``): an error P after the gate that completes V of
+the run becomes V^dagger P V before it, an identity, so each trajectory
+stays exact.  Every other gate, and every gate of a flat gate list, is
+one ``_apply_matrix`` on the whole chunk, and its
 strings are one gather, multiply and scatter of the columns they hit: a
 Pauli string only permutes amplitudes and multiplies them by ±1 or ±i,
 so this is exact.  The readout is one marginal, draw, readout-flip XOR
@@ -89,7 +89,6 @@ from .statevector import (
     _gate_rows,
     _limit,
     _Local,
-    _local,
     _marginal,
     _outcomes,
     _subset,
@@ -144,10 +143,10 @@ class _Slots(NamedTuple):
 
     @classmethod
     def of(cls, circ: Circuit, config: NoiseConfig) -> _Slots:
-        """The slots of ``circ``, built run by run: a segment's widths and
-        qubits once, repeated per copy."""
+        """The slots of ``circ``, built run by run off its plan: a
+        segment's widths and qubits once, repeated per copy."""
         widths, qubits = [], []
-        for segment, copies in circ.runs or ((circ.gates, 1),):
+        for _, segment, copies, _ in circ.run_plan:
             widths.append(np.tile(np.array([len(g.qubits) for g in segment], np.intp), copies))
             qubits.append(np.tile(np.array([q for g in segment for q in g.qubits], np.intp), copies))
         width = np.concatenate(widths)
@@ -285,14 +284,6 @@ def _trajectories(
     n = circ.num_qubits
     qubits = _subset(n, qubits)  # checked before any work
     slots = _Slots.of(circ, config)
-    # (index of the run's first gate, segment, copies, local, step): a run
-    # with a _Local is one power step; any other runs gate by gate, as
-    # every gate of a flat gate list does.
-    plan, cache, offset = [], {}, 0
-    for segment, copies in circ.runs or ((circ.gates, 1),):
-        local = _local(segment, cache) if circ.runs and len(segment) > 1 else None
-        plan.append((offset, segment, copies, local, local.step(copies) if local else None))
-        offset += len(segment) * copies
     size = max(1, _CHUNK_AMPS >> n)
     tally: dict[int, int] = {}
     for start in range(0, shots, size):
@@ -308,7 +299,9 @@ def _trajectories(
         amps, arena = chunk[0], chunk[1:].reshape(-1)
         amps[1:] = 0.0
         amps[0] = 1.0  # every column starts in |0...0>
-        for offset, segment, copies, local, step in plan:
+        # A run with a _Local is one power step; any other runs gate by
+        # gate, as every gate of a flat gate list does.
+        for offset, segment, copies, local in circ.run_plan:
             stop = offset + len(segment) * copies
             if local is None:
                 cuts = np.searchsorted(gates, np.arange(offset, stop + 1)).tolist()
@@ -320,7 +313,7 @@ def _trajectories(
             a, b = np.searchsorted(gates, (offset, stop))
             if a < b:  # some shot errs in the run
                 _apply_run_errors(amps, n, local, len(segment), gates[a:b] - offset, *(s[a:b] for s in strings), arena)
-            _apply_matrix(amps, n, *step, arena)
+            _apply_matrix(amps, n, *local.step(copies), arena)
         marg = _marginal(amps, n, qubits, arena)
         flips = (readout[:, 1:] < _limit(config.readout_flip)).dot(1 << np.arange(len(qubits)))
         outcomes = _draw(marg, readout[:, 0]) ^ flips

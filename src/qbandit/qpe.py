@@ -151,11 +151,12 @@ def build_qpe_circuit(q_op: GroverOperator, n: int) -> Circuit:
     every gate of every copy and applies each controlled Q^(2^k) as one
     8 x 8 power, with an erring shot's errors moved to its start.  The
     ideal simulator's step plan (``Circuit.steps``), read off the runs
-    with no scan of the gates, applies each controlled Q^(2^k) with k >= 1
-    as one 8 x 8 matrix and, for n >= 2, the inverse QFT run, an
-    ``_InverseQft``, as one FFT: 42 kernel calls for the 17,466 gates at
-    n = 10.  Controlled Q has the same local matrix under every control,
-    so it is built once, and each power is one more squaring of the last.
+    with no scan of the gates, applies each controlled Q^(2^k) as one 8 x
+    8 matrix and, for n >= 2, the inverse QFT run, an ``_InverseQft``, as
+    one FFT: 26 kernel calls for the 17,466 gates at n = 10.  Both read
+    the circuit's one run plan (``Circuit.run_plan``).  Controlled Q has
+    the same local matrix under every control, so it is built once, and
+    each power is one more squaring of the last.
     The same gates as a flat list run gate by gate.
     """
     check_number("n", n, low=1, high=MAX_EVAL_QUBITS)

@@ -18,23 +18,25 @@ the one other is the ideal plan's FFT for phase estimation's inverse
 QFT, below.  The marginal and the inverse-CDF draw (``_draw``) take a
 batch too, one state and one word's u per column.
 
-The ideal paths (``apply_circuit``, ``Circuit.final_state`` and
-``circuit_unitary``) run a circuit's step plan, ``Circuit.steps``, made
-once per circuit object from the structure its builder declares.  A
-circuit given as a flat gate list runs gate by gate, with the same bits
-as a gate-by-gate loop.  A builder that knows its structure, as phase
-estimation does, gives the circuit its runs, ``(segment, copies)``
-pairs.  A run of two or more copies of a segment on at most three
-qubits, such as the 2^k copies of a controlled Grover operator, is one
-kernel call with the segment's matrix raised to the number of copies by
-repeated squaring.  Segments with the same local matrix under different
-qubits share it, built once, and one chain of its squarings: the 2^k-th
-power is the k-th squaring, the product ``np.linalg.matrix_power``
-makes.  A segment built as an ``_InverseQft``, as phase estimation builds
-its inverse QFT, runs as one orthonormal FFT along the register's axis
-of the amplitudes (``_Fourier``).  Every other gate is its own step, with
-its own matrix.  Noisy trajectories read a run's power from the same
-local products (``_local``), for single-copy runs too, and move each
+A circuit given as a flat gate list runs gate by gate, with the same
+bits as a gate-by-gate loop.  A builder that knows its structure, as
+phase estimation does, gives the circuit its runs, ``(segment, copies)``
+pairs, and the circuit plans them once per circuit object
+(``Circuit.run_plan``) by one rule: a run of two or more gates,
+counting copies, on at most three qubits folds, such as each of the 2^k
+copies of a controlled Grover operator, k = 0 included.  A folded run
+is one kernel call with the segment's matrix raised to the number of
+copies by repeated squaring.  Segments with the same local matrix under
+different qubits share it, built once, and one chain of its squarings:
+the 2^k-th power is the k-th squaring, the product
+``np.linalg.matrix_power`` makes.  The ideal paths (``apply_circuit``,
+``Circuit.final_state`` and ``circuit_unitary``) run the step plan,
+``Circuit.steps``, read off that plan: a segment built as an
+``_InverseQft``, as phase estimation builds its inverse QFT, runs as
+one orthonormal FFT along the register's axis of the amplitudes
+(``_Fourier``), each folded run as its power, and every other gate as
+its own step, with its own matrix.  Noisy trajectories read the same
+plan, so they fold the same runs with the same matrices, and move each
 erring shot's errors to the run's start (``noise._apply_run_errors``).
 
 Every random stream is Philox (Salmon et al., SC'11) keyed by a seed,
@@ -490,29 +492,40 @@ class Circuit:
         return len(self.gates)
 
     @functools.cached_property
+    def run_plan(self) -> tuple[tuple[int, tuple[Gate, ...], int, _Local | None], ...]:
+        """``(first, segment, copies, local)`` for each run, made on first
+        use and read by the ideal and the noisy paths alike: the index of
+        the run's first gate, its segment and copies, and the segment's
+        ``_Local`` if the run folds, else None.  The one fold rule: a run
+        folds when it holds two or more gates, counting copies, on at
+        most ``_FOLD_QUBITS`` qubits.  Runs whose segments have the same
+        local matrix share it and one chain of its squarings.  A circuit
+        given by ``gates`` is one run of them that never folds."""
+        plan, cache, first = [], {}, 0
+        for segment, copies in self.runs or ((self.gates, 1),):
+            local = _local(segment, cache) if self.runs and len(segment) * copies > 1 else None
+            plan.append((first, segment, copies, local))
+            first += len(segment) * copies
+        return tuple(plan)
+
+    @functools.cached_property
     def steps(self) -> tuple[Gate | _Step | _Fourier, ...]:
         """The kernel calls that simulate this circuit, planned on first
-        use: ``gates`` itself when nothing folds, as for every circuit
-        given by ``gates``.
+        use from ``run_plan``: ``gates`` itself when nothing folds, as for
+        every circuit given by ``gates``.
 
-        A circuit given by runs takes its plan from them, with no scan:
-        each run of two or more copies of a segment on at most
-        ``_FOLD_QUBITS`` qubits is one step, its ``_Local`` U raised to the
-        copies, an ``_InverseQft`` segment of two or more qubits is one FFT
-        step per copy, and every other run's gates are their own steps.
-        Runs whose segments have the same local matrix share it and one
-        chain of its squarings."""
+        An ``_InverseQft`` segment of two or more qubits is one FFT step
+        per copy; every other run that folds is one step, its ``_Local`` U
+        raised to the copies; the gates of a run that does not fold are
+        their own steps."""
         if self.runs is None:
             return self.gates
         steps: list[Gate | _Step | _Fourier] = []
-        cache: dict[tuple, tuple] = {}
-        for segment, copies in self.runs:
+        for _, segment, copies, local in self.run_plan:
             if isinstance(segment, _InverseQft) and segment.fourier:
                 steps += [segment.fourier] * copies
-            elif copies == 1 or (local := _local(segment, cache)) is None:
-                steps += segment * copies
             else:
-                steps.append(local.step(copies))
+                steps += segment * copies if local is None else [local.step(copies)]
         return self.gates if len(steps) == len(self.gates) else tuple(steps)
 
     @functools.cached_property
@@ -657,11 +670,13 @@ class _InverseQft(tuple):
     """The gates of an inverse QFT on the consecutive increasing ``qubits``
     (qubits[j] holding bit j), as a tuple that carries its plan step:
     each copy of a run of this segment is one ``_Fourier`` step, its
-    ``fourier``.  The builder vouches that the gates are that transform.
-    A register narrower than 2 qubits gets no step (``fourier`` is None),
-    since its transform is one Hadamard.  Anywhere else, in a flat gate
-    list or sliced or joined into a plain tuple, the gates run one by
-    one."""
+    ``fourier``, in the ideal step plan, whether or not the fold rule
+    folds the run.  The builder vouches that the gates are that
+    transform.  A register narrower than 2 qubits gets no step
+    (``fourier`` is None), since its transform is one Hadamard.  Noisy
+    trajectories take the run by the fold rule like any other, as both
+    plans take the gates sliced or joined into a plain tuple; in a flat
+    gate list they run one by one."""
 
     def __new__(cls, gates: Iterable[Gate], qubits: Sequence[int]) -> _InverseQft:
         first, width = qubits[0], len(qubits)

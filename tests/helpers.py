@@ -12,6 +12,7 @@ from qbandit.statevector import (
     Circuit,
     Gate,
     _Fourier,
+    _Step,
     _apply_matrix,
     _bitstring,
     _marginal,
@@ -61,6 +62,31 @@ def gate_by_gate(circ: Circuit, amps: np.ndarray | None = None) -> np.ndarray:
     for gate in circ.gates:
         _apply_matrix(amps, circ.num_qubits, gate.matrix, gate.targets, gate.controls)
     return amps
+
+
+def power_step(segment, m) -> _Step:
+    """``segment`` repeated m times as one step on the qubits it touches,
+    lowest first: ``np.linalg.matrix_power`` of its local matrix, built
+    gate by gate on those qubits alone."""
+    qubits = sorted({q for g in segment for q in g.qubits})
+    local = {q: j for j, q in enumerate(qubits)}
+    matrix = np.eye(2 ** len(qubits), dtype=complex)
+    for g in segment:
+        targets, controls = tuple(map(local.get, g.targets)), tuple(map(local.get, g.controls))
+        _apply_matrix(matrix, len(qubits), g.matrix, targets, controls)
+    return _Step(np.linalg.matrix_power(matrix, m), tuple(qubits), ())
+
+
+def folds(segment, copies) -> bool:
+    """The one fold rule, read off the run: two or more gates, counting
+    copies, on at most three qubits."""
+    return len(segment) * copies > 1 and len({q for g in segment for q in g.qubits}) <= 3
+
+
+def run_steps(segment, copies) -> list:
+    """The steps a run of a plain segment plans as: one ``power_step`` if
+    it ``folds``, else its gates, one step each."""
+    return [power_step(segment, copies)] if folds(segment, copies) else list(segment * copies)
 
 
 def assert_same_steps(got, want):

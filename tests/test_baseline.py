@@ -71,6 +71,11 @@ class TestMcSamplesNeeded:
     def test_degenerate_delta_clamped(self):
         assert mc_samples_needed(0.3, 1.0) >= 1
 
+    @pytest.mark.parametrize("delta", [1.5, 5.0])
+    def test_a_failure_probability_above_one_is_refused(self, delta):
+        with pytest.raises(ValueError, match=f"delta must be at most 1, got {delta}"):
+            mc_samples_needed(0.1, delta)
+
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.2])
     def test_invalid_epsilon(self, eps):
         with pytest.raises(ValueError):

@@ -1,15 +1,16 @@
 """QPE circuits carry their repeats as runs, and their step plan is read
-off the runs with no scan: the single-copy runs' gates as themselves,
-each controlled Q^(2^k) with k >= 1 as one power step off one chain of
-squarings of one local matrix, and the inverse QFT as one FFT step.
-The build costs O(n) gates, not O(2^n)."""
+off the runs with no scan: each run of two or more gates (counting
+copies) on at most three qubits, such as every controlled Q^(2^k), k = 0
+included, as one power step off one chain of squarings of one local
+matrix, the inverse QFT as one FFT step, and every other run's gates as
+themselves.  The build costs O(n) gates, not O(2^n)."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_same_steps, gate_by_gate
+from helpers import assert_same_steps, gate_by_gate, power_step
 from qbandit import statevector
 from qbandit.bandit import BanditParams, PolicySpec
 from qbandit.qpe import build_grover_operator, build_qpe_circuit, build_state_prep
@@ -17,7 +18,6 @@ from qbandit.statevector import (
     Circuit,
     Gate,
     SimulationError,
-    _apply_matrix,
     _Fourier,
     _Step,
     h,
@@ -36,36 +36,21 @@ def q_operator(p_left, theta_left, theta_right):
     return build_grover_operator(build_state_prep(PolicySpec(p_left), BanditParams(theta_left, theta_right)))
 
 
-def power_reference(segment, m):
-    """``segment`` repeated m times as one matrix on the qubits it
-    touches, by ``np.linalg.matrix_power`` of its local matrix."""
-    qubits = sorted({q for g in segment for q in g.qubits})
-    local = {q: j for j, q in enumerate(qubits)}
-    matrix = np.eye(2 ** len(qubits), dtype=complex)
-    for g in segment:
-        targets, controls = tuple(map(local.get, g.targets)), tuple(map(local.get, g.controls))
-        _apply_matrix(matrix, len(qubits), g.matrix, targets, controls)
-    return np.linalg.matrix_power(matrix, m), tuple(qubits)
-
-
-def power_step(segment, m):
-    matrix, qubits = power_reference(segment, m)
-    return _Step(matrix, qubits, ())
-
-
 @settings(max_examples=30, deadline=None)
 @given(p_left=st.floats(0.0, 1.0), theta_left=ANGLE, theta_right=ANGLE, n=st.integers(1, 12))
 @example(p_left=0.3, theta_left=1.1, theta_right=1.1, n=10)  # the preparation repeats (X, cRY) too
 def test_carried_runs_plan_as_their_runs_say(p_left, theta_left, theta_right, n):
     """Each power step has matrix_power's bits, independently of the
-    chain; the gates of the single-copy runs are their own steps, the
-    preparation's too; and the same gates as a flat list run one by one
-    to the same state within 1e-12."""
+    chain; the preparation run is one step at n = 1, where it touches
+    three qubits, and its own gates wider; the single copy of controlled
+    Q is one step like the others; and the same gates as a flat list run
+    one by one to the same state within 1e-12."""
     circ = build_qpe_circuit(q_operator(p_left, theta_left, theta_right), n)
     flat = Circuit(circ.num_qubits, circ.gates)
     assert circ == flat and flat.runs is None and flat.steps is flat.gates
-    (prep, _), (first, _), *powers, (ladder, _) = circ.runs
-    want = [*prep, *first, *(power_step(segment, copies) for segment, copies in powers)]
+    (prep, _), *powers, (ladder, _) = circ.runs
+    want = [power_step(prep, 1)] if n == 1 else [*prep]
+    want += [power_step(segment, copies) for segment, copies in powers]
     want += [_Fourier(2, n)] if n >= 2 else ladder
     assert_same_steps(circ.steps, want)
     assert [copies for _, copies in circ.runs] == [1] + [2**k for k in range(n)] + [1]
@@ -110,7 +95,10 @@ def test_any_number_of_copies_matches_the_flat_list(copies):
 
 
 def test_a_circuit_with_nothing_to_fold_plans_its_own_gates():
-    circ = build_qpe_circuit(q_operator(0.3, 1.1, 2.2), 1)
+    """Runs that are wide or hold one gate, such as n = 4's preparation,
+    its ladder as a plain tuple and a lone Hadamard, fold nothing."""
+    (prep, _), *_, (ladder, _) = build_qpe_circuit(q_operator(0.3, 1.1, 2.2), 4).runs
+    circ = Circuit(6, runs=((prep, 1), (tuple(ladder), 1), ((h(2),), 1)))
     assert circ.steps is circ.gates
 
 
@@ -126,15 +114,15 @@ def counter(monkeypatch, owner, name):
     return calls
 
 
-def test_the_single_copy_runs_are_their_own_steps():
+def test_only_the_wide_preparation_run_is_its_own_steps():
     q_op = q_operator(0.3, 1.1, 2.2)
     circ = build_qpe_circuit(q_op, 10)
-    assert len(circ.steps) == 42
-    singles = [g for segment, copies in circ.runs[:-1] if copies == 1 for g in segment]
-    # Preparation and Hadamards, then the k = 0 copy of controlled Q.
-    assert len(singles) == 5 + 10 + 17
-    assert all(step is gate for step, gate in zip(circ.steps, singles))
-    assert all(type(step) is _Step for step in circ.steps[len(singles) : -1])
+    assert len(circ.steps) == 26
+    (prep, copies), *controlled, _ = circ.runs
+    # Preparation and Hadamards on 12 qubits, then one step per controlled Q^(2^k).
+    assert copies == 1 and len(prep) == 5 + 10
+    assert all(step is gate for step, gate in zip(circ.steps, prep))
+    assert [type(step) for step in circ.steps[len(prep) : -1]] == [_Step] * len(controlled) == [_Step] * 10
     assert circ.steps[-1] == _Fourier(2, 10)
 
 

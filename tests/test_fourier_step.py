@@ -1,14 +1,15 @@
 """Phase estimation's inverse QFT as one FFT step.  ``qpe`` builds the
 ladder as an ``_InverseQft``, and a circuit's runs that hold it as a
 segment plan it as one ``_Fourier`` step; the same gates as a plain
-tuple, or in a flat gate list, run gate by gate."""
+tuple plan as any other run (one power step on at most three qubits,
+else gate by gate), and in a flat gate list run gate by gate."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_same_steps, gate_by_gate, random_circuit
+from helpers import assert_same_steps, gate_by_gate, power_step, random_circuit, run_steps
 from qbandit.bandit import Arm, BanditParams, PolicySpec, build_arm_circuit
 from qbandit.qpe import (
     _inverse_qft,
@@ -24,6 +25,7 @@ from qbandit.statevector import (
     StateVector,
     _Fourier,
     _InverseQft,
+    _Step,
     apply_circuit,
     circuit_unitary,
     h,
@@ -65,7 +67,7 @@ def test_a_marked_ladder_between_random_gates_matches_the_reference(n, extra, si
     width = n + 2 + extra
     before, after = (random_circuit(width, k, rng).gates for k in sizes)
     circ = Circuit(width, runs=((before, 1), (_inverse_qft(n), 1), (after, 1)))
-    assert circ.steps == (*before, _Fourier(2, n), *after)
+    assert_same_steps(circ.steps, [*run_steps(before, 1), _Fourier(2, n), *run_steps(after, 1)])
     if width <= 10:
         eye = np.eye(2**width, dtype=complex)
         assert np.abs(circuit_unitary(circ) - gate_by_gate(circ, eye)).max() < 1e-12
@@ -91,18 +93,23 @@ def test_the_mark_changes_only_the_ladders_steps(p_left, theta_left, theta_right
     circ = qpe_circuit(p_left, theta_left, theta_right, n)
     ladder = _inverse_qft(n)
     assert circ.runs[-1] == (ladder, 1) and circ.runs[-1][0] is ladder
-    # The same runs with the ladder as a plain tuple: its gates are steps.
+    # The same runs with the ladder as a plain tuple: it plans as any run.
     unmarked = Circuit(circ.num_qubits, runs=circ.runs[:-1] + ((tuple(ladder), 1),))
-    assert_same_steps(unmarked.steps, circ.steps[:-1] + ladder)
+    assert_same_steps(unmarked.steps, [*circ.steps[:-1], *run_steps(ladder, 1)])
     assert circ.steps[-1] == _Fourier(2, n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_a_ladder_built_afresh_runs_gate_by_gate(n):
+    """A flat list of its gates runs gate by gate; a run of them is no FFT
+    step, but one power step on at most three qubits."""
     afresh = tuple(inverse_qft_gates(eval_qubits(n)))
     assert afresh == _inverse_qft(n)  # equal gates, other objects
-    for circ in (Circuit(n + 2, afresh), Circuit(n + 2, runs=((afresh, 1),))):
-        assert circ.steps is circ.gates
+    flat, declared = Circuit(n + 2, afresh), Circuit(n + 2, runs=((afresh, 1),))
+    assert flat.steps is flat.gates
+    assert_same_steps(declared.steps, run_steps(afresh, 1))
+    assert (declared.steps is declared.gates) == (n > 3)
+    for circ in (flat, declared):
         assert np.array_equal(circ.final_state.amps, gate_by_gate(circ))
 
 
@@ -110,7 +117,7 @@ def test_part_of_a_marked_ladder_runs_gate_by_gate():
     ladder = _inverse_qft(4)
     for gates in (ladder[:-1], ladder[:1] + ladder[2:], (ladder[0],) * 4 + ladder[1:3]):
         circ = Circuit(6, runs=((gates, 1),))
-        assert circ.steps is circ.gates
+        assert_same_steps(circ.steps, run_steps(gates, 1))
         assert np.array_equal(circ.final_state.amps, gate_by_gate(circ))
 
 
@@ -121,7 +128,7 @@ def test_a_ladder_twice_is_two_steps():
         assert circ.steps == (_Fourier(2, 3), _Fourier(2, 3))
         assert np.abs(circ.final_state.amps - gate_by_gate(circ)).max() < 1e-15
     circ = Circuit(5, runs=(((a, b), 1), (ladder, 1)) * 3)
-    assert circ.steps == (a, b, _Fourier(2, 3)) * 3
+    assert_same_steps(circ.steps, [power_step((a, b), 1), _Fourier(2, 3)] * 3)
     assert np.abs(circ.final_state.amps - gate_by_gate(circ)).max() < 1e-15
 
 
@@ -133,10 +140,13 @@ def test_other_circuits_have_no_fft_step():
         build_arm_circuit(Arm.RIGHT, params),
         prep,
         build_grover_operator(prep).circuit(),
-        qpe_circuit(0.3, 1.1, 2.2, 1),  # a one-qubit register's ladder is one H
         Circuit(6, _inverse_qft(4)),  # a flat copy of a marked ladder
     ):
         assert circ.steps is circ.gates
+    # A one-qubit register's ladder is one H, its own step after two power steps.
+    circ = qpe_circuit(0.3, 1.1, 2.2, 1)
+    assert_same_steps(circ.steps, [step for segment, copies in circ.runs for step in run_steps(segment, copies)])
+    assert [type(step) for step in circ.steps] == [_Step, _Step, type(circ.gates[-1])]
 
 
 def test_a_one_qubit_register_gets_no_fft_step():

@@ -53,8 +53,9 @@ def two_pass(p_left, theta_left, theta_right, config, oracle):
 @pytest.mark.parametrize("n", [3, 6, 10])
 def test_ideal_run_qpe_applies_each_gate_once(monkeypatch, n):
     """One pass over the register, one kernel call per planned step.  The
-    2^k copies of controlled Q fold into one step each and the inverse
-    QFT is one FFT, so n = 10's 17,466 gates take 42 calls."""
+    2^k copies of controlled Q fold into one step each, k = 0 included,
+    and the inverse QFT is one FFT, so n = 10's 17,466 gates take 26
+    calls."""
     calls = []
 
     def counting(name):
@@ -73,7 +74,7 @@ def test_ideal_run_qpe_applies_each_gate_once(monkeypatch, n):
     circ = qpe_circuit(0.3, 1.1, 2.2, n)
     assert sum(calls) == len(circ.steps) < len(circ)
     if n == 10:
-        assert len(circ) == 17_466 and sum(calls) == 42
+        assert len(circ) == 17_466 and sum(calls) == 26
 
 
 ANGLE = st.floats(0.0, np.pi)

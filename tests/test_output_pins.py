@@ -110,6 +110,19 @@ PINS[4] = {
         "qpe_pleft0_n4_noisy.csv": "d5c67c8e6bfab09275e3ed7340e47186e1e09842a6ce94ba51f32c92b7666fd9",
     },
 }
+# Version 5 moved the exact_prob cells of the four ideal QPE CSVs again,
+# by at most 1.4e-17, when the ideal plan began folding single-copy runs
+# (the k = 0 controlled Q) as the noisy path does.
+PINS[5] = {
+    **PINS[4],
+    "qpe-histograms": {
+        **PINS[4]["qpe-histograms"],
+        "qpe_pleft0.5_n3_ideal.csv": "ccfc830edea1c5486ff16188e51eb63bea6336d254e781edd6549ef30cad83dc",
+        "qpe_pleft0.5_n4_ideal.csv": "91fc3eeb03664248288dba93d0dcd5592f7e8348711a965c4c430e0110df639d",
+        "qpe_pleft0_n3_ideal.csv": "9f357c61b6015507dc33a36a1247e2893893c973c345ba2f4df3ee6850e9ed4b",
+        "qpe_pleft0_n4_ideal.csv": "8adf7a99ccbc348496ef78f98e636d3024a9e50c0e6f48eb931b7b317fb4d7bd",
+    },
+}
 FIGURES = PINS[OUTPUT_VERSION]
 
 DEMO_STDOUT = {

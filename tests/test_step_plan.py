@@ -1,5 +1,6 @@
-"""The ideal simulator's step plan: a run of a segment's copies runs as
-one matrix power, every other gate as itself.
+"""The ideal simulator's step plan: a run of two or more gates (counting
+copies) on at most three qubits runs as one matrix power, every other
+gate as itself.
 Ideal QPE stays on the closed form, small circuits on a gate-by-gate
 reference, a noisy trajectory takes each narrow run as one step, and a
 kept histogram holds its exact distribution at its information size."""
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import gate_by_gate, random_circuit, traced_bytes
+from helpers import assert_same_steps, gate_by_gate, random_circuit, run_steps, traced_bytes
 from qbandit import noise, statevector
 from qbandit.backends import apportion
 from qbandit.bandit import Arm, BanditParams, PolicySpec, build_arm_circuit, policy_value
@@ -60,18 +61,16 @@ def test_ideal_qpe_matches_the_closed_form(p_left, theta_left, theta_right, n):
 )
 @example(num_qubits=2, sizes=(2, 2, 2), copies=2, seed=1129762002)  # ``after`` equals the segment
 def test_a_repeated_segment_matches_the_gate_by_gate_reference(num_qubits, sizes, copies, seed):
-    """The segment's copies are declared as one run, so they fold; gates
-    before and after it are their own steps, even when equal to it."""
+    """The segment's copies are declared as one run, so they fold on at
+    most three qubits; the runs before and after it fold by the same
+    rule, even when equal to it, and never together with it."""
     rng = np.random.default_rng(seed)
     before, segment, after = (random_circuit(num_qubits, k, rng).gates for k in sizes)
     circ = Circuit(num_qubits, runs=((before, 1), (segment, copies), (after, 1)))
     assert circ.gates == before + segment * copies + after
     want = gate_by_gate(circ)
     assert np.abs(circ.final_state.amps - want).max() < 1e-12
-    if len({q for g in segment for q in g.qubits}) <= 3:
-        assert len(circ.steps) == len(before) + 1 + len(after)
-    else:
-        assert circ.steps == circ.gates
+    assert_same_steps(circ.steps, [*run_steps(before, 1), *run_steps(segment, copies), *run_steps(after, 1)])
 
 
 POOL = (x(0), h(1), x(1, controls=[0]), h(0), x(2, controls=[1]))
@@ -105,9 +104,9 @@ def test_circuits_without_a_repeated_segment_plan_their_own_gates():
 def test_each_controlled_power_of_q_is_one_step():
     circ = qpe_circuit(0.3, 1.1, 2.2, 10)
     folded = [s for s in circ.steps if isinstance(s, _Step)]
-    assert len(circ) == 17_466 and len(circ.steps) == 42
-    # k = 1 .. 9: Q's 16 gates and the control's Phase(pi), 2^k times.
-    assert [s.targets for s in folded] == [(0, 1, 2 + k) for k in range(1, 10)]
+    assert len(circ) == 17_466 and len(circ.steps) == 26
+    # k = 0 .. 9: Q's 16 gates and the control's Phase(pi), 2^k times.
+    assert [s.targets for s in folded] == [(0, 1, 2 + k) for k in range(10)]
     assert all(s.matrix.shape == (8, 8) and not s.matrix.flags.writeable for s in folded)
     # The inverse QFT's 60 gates: one FFT on the evaluation register.
     assert circ.steps[-1] == _Fourier(2, 10)
