@@ -2,12 +2,17 @@
 
 All three expose the same surface:
 
-* ``counts(circuit, shots, seed, qubits)`` — integer shot counts.
+* ``counts(circuit, shots, seed, qubits)`` — integer shot counts, a
+  ``MeasurementCounts`` whose ``counts`` is an ``OutcomeMap`` on the
+  integer tally of every outcome.
 * ``frequency(circuit, qubit, shots, seed)`` — P(qubit = 1) estimate.
 * ``exact_probabilities(circuit, qubits)`` — closed-form distribution,
-  a read-only ``ExactDistribution`` on the marginal array whose
-  bitstring keys are rendered only on iteration, or None when the
-  backend cannot provide one (noisy).
+  an ``OutcomeMap`` on the marginal array, or None when the backend
+  cannot provide one (noisy).
+
+Outcomes stay integers here: every ``frequency`` reads outcome 1 of a
+one-qubit tally or marginal by index, and the ``OutcomeMap`` renders
+bitstring keys only if a caller iterates it.
 
 Each backend class's ``max_shots`` is the most shots its ``counts``
 takes, the one constant that ``counts`` checks: None for the ideal
@@ -22,11 +27,12 @@ one-qubit marginal, the counts ``counts`` would give, with no
 ``MeasurementCounts`` built.  The other two subclass it.  The exact
 oracle overrides ``counts`` and ``frequency`` and never samples:
 ``counts`` apportions the exact distribution to ``shots`` by largest
-remainder and ``frequency`` is the exact Born probability, yet both
-refuse the shots and seeds the sampler refuses; it exists for tests and
-shot-free baselines.  The noisy backend overrides all three: its
-``counts`` runs Pauli trajectories, its ``frequency`` reads those noisy
-counts, and it has no ``exact_probabilities``.
+remainder, over integer outcomes, and ``frequency`` is the exact Born
+probability of outcome 1, yet both refuse the shots and seeds the
+sampler refuses; it exists for tests and shot-free baselines.  The
+noisy backend overrides all three: its ``counts`` runs Pauli
+trajectories, its ``frequency`` reads outcome 1 of those noisy counts'
+tally, and it has no ``exact_probabilities``.
 
 The ideal and oracle backends read a circuit's state from
 ``Circuit.final_state``, so each circuit object is simulated once.  Its
@@ -39,11 +45,13 @@ from __future__ import annotations
 
 from typing import Iterable, TypeVar
 
+import numpy as np
+
 from .noise import MAX_NOISY_SHOTS, NoiseConfig, noisy_counts
 from .statevector import (
     Circuit,
-    ExactDistribution,
     MeasurementCounts,
+    OutcomeMap,
     _sample_tally,
     check_number,
     check_seed,
@@ -96,7 +104,7 @@ class IdealBackend:
 
     def exact_probabilities(
         self, circ: Circuit, qubits: Iterable[int] | None = None
-    ) -> ExactDistribution | None:
+    ) -> OutcomeMap | None:
         return exact_distribution(circ.final_state, qubits)
 
     def frequency(self, circ: Circuit, qubit: int, shots: int, seed: int) -> float:
@@ -120,12 +128,16 @@ class ExactOracleBackend(IdealBackend):
         check_number("shots", shots, low=1)
         check_seed("seed", seed, key=True)
         probs = self.exact_probabilities(circ, qubits)
-        return MeasurementCounts(apportion(probs, shots), shots)
+        ys = probs.outcomes.tolist()
+        counts = apportion(dict(zip(ys, probs.array[ys].tolist())), shots)
+        tally = np.zeros(probs.array.size, np.int64)
+        tally[list(counts)] = list(counts.values())
+        return MeasurementCounts(OutcomeMap(tally), shots)
 
     def frequency(self, circ: Circuit, qubit: int, shots: int, seed: int) -> float:
         check_number("shots", shots, low=1)
         check_seed("seed", seed, key=True)
-        return self.exact_probabilities(circ, qubits=(qubit,)).get("1", 0.0)
+        return self.exact_probabilities(circ, qubits=(qubit,)).array[1].item()
 
 
 class NoisyBackend(IdealBackend):
@@ -148,11 +160,11 @@ class NoisyBackend(IdealBackend):
         return noisy_counts(circ, shots, self.noise, seed, qubits)
 
     def frequency(self, circ: Circuit, qubit: int, shots: int, seed: int) -> float:
-        return self.counts(circ, shots, seed, qubits=(qubit,)).frequency("1")
+        return self.counts(circ, shots, seed, qubits=(qubit,)).counts.array[1].item() / shots
 
     def exact_probabilities(
         self, circ: Circuit, qubits: Iterable[int] | None = None
-    ) -> ExactDistribution | None:
+    ) -> OutcomeMap | None:
         return None
 
 

@@ -52,8 +52,9 @@ one ``_apply_matrix`` on the whole chunk, and its
 strings are one gather, multiply and scatter of the columns they hit: a
 Pauli string only permutes amplitudes and multiplies them by ±1 or ±i,
 so this is exact.  The readout is one marginal, draw, readout-flip XOR
-and tally per chunk; a bitstring is rendered once per outcome, never
-per shot.
+and tally per chunk, into one integer tally over the outcomes; the
+counts are an ``OutcomeMap`` on that tally, in first-seen order, so no
+bitstring is rendered unless the counts are iterated.
 
 A chunk's state and its work arena, twice its size, are one
 allocation, so a chunk's working set is 3 x ``_CHUNK_AMPS`` amplitudes,
@@ -83,8 +84,8 @@ from .statevector import (
     _PHILOX,
     Circuit,
     MeasurementCounts,
+    OutcomeMap,
     _apply_matrix,
-    _bitstring,
     _draw,
     _gate_rows,
     _limit,
@@ -276,16 +277,15 @@ def _trajectories(
     shots: int,
     key: int,
     qubits: Iterable[int] | None,
-) -> dict[str, int]:
-    """Each measured bitstring's shot count, in order of its first shot,
+) -> OutcomeMap:
+    """Each measured outcome's shot count, in order of its first shot,
     for shots 0 to ``shots`` - 1 of ``key``'s stream.  This is the only
-    trajectory path.  A chunk's outcomes are tallied in one pass; a
-    bitstring is rendered once per outcome."""
+    trajectory path.  A chunk's outcomes are tallied in one pass."""
     n = circ.num_qubits
     qubits = _subset(n, qubits)  # checked before any work
     slots = _Slots.of(circ, config)
     size = max(1, _CHUNK_AMPS >> n)
-    tally: dict[int, int] = {}
+    tally, order = np.zeros(2 ** len(qubits), np.int64), []
     for start in range(0, shots, size):
         cols = min(shots, start + size) - start
         *found, readout = _draws(key, start, cols, slots, 1 + len(qubits))
@@ -318,10 +318,10 @@ def _trajectories(
         flips = (readout[:, 1:] < _limit(config.readout_flip)).dot(1 << np.arange(len(qubits)))
         outcomes = _draw(marg, readout[:, 0]) ^ flips
         seen, first, reps = np.unique(outcomes, return_index=True, return_counts=True)
-        order = np.argsort(first)  # first-seen order
-        for m, c in zip(seen[order].tolist(), reps[order].tolist()):
-            tally[m] = tally.get(m, 0) + c
-    return {_bitstring(m, marg[:, 0]): c for m, c in tally.items()}
+        new = tally[seen] == 0
+        order.append(seen[new][np.argsort(first[new])])  # first-seen order
+        tally[seen] += reps
+    return OutcomeMap(tally, np.concatenate(order))
 
 
 def run_trajectory(
@@ -351,7 +351,8 @@ def noisy_counts(
 ) -> MeasurementCounts:
     """Aggregate independent trajectories: shots 0 to ``shots`` - 1 of the
     stream keyed by ``derive_seed(config.seed, seed)``, so runs are
-    reproducible shot by shot.  ``shots`` above ``MAX_NOISY_SHOTS``
+    reproducible shot by shot.  The counts are an ``OutcomeMap`` on their
+    integer tally, in first-seen order.  ``shots`` above ``MAX_NOISY_SHOTS``
     (2**32) are refused before any work."""
     check_number("shots", shots, low=1, high=MAX_NOISY_SHOTS)
     check_seed("config.seed", config.seed)

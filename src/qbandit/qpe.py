@@ -32,8 +32,8 @@ from .bandit import build_environment_circuit, build_policy_circuit
 from .noise import NoiseConfig
 from .statevector import (
     Circuit,
-    ExactDistribution,
     Gate,
+    OutcomeMap,
     _InverseQft,
     check_number,
     check_real,
@@ -239,47 +239,46 @@ class QpeConfig:
         check_number("shots", self.shots, low=1, high=limit)
 
 
-class FoldedDistribution(Mapping):
-    """A run's exact folded distribution: a read-only mapping from grid
-    point y to its probability, held as one float64 array over the
-    2^(n-1)+1 grid points, about 4 KB at n = 10 where a dict takes 38 KB.
+class FoldedDistribution(OutcomeMap):
+    """A run's register outcomes folded onto the grid: a read-only mapping
+    from grid point y in [0, 2^(n-1)] to the sum of its outcomes' values,
+    held as one array over the 2^(n-1)+1 grid points, about 4 KB at n =
+    10 where a dict takes 38 KB.
 
-    Built from a backend's exact distribution over the register, read
-    from its marginal array with no key rendered: its nonzero outcomes y,
-    in increasing order, fold onto min(y, 2^n - y).  Its keys and values
-    are ``_fold``'s over the same distribution: the points some outcome
-    folds onto, which are the nonzero ones, and each value adds its
-    outcomes in the same order, so with the same bits.
+    Built from an ``OutcomeMap`` over the register, a backend's exact
+    distribution or its counts, read from its array with no key rendered
+    or parsed: outcome y and its alias 2^n - y fold onto min(y, 2^n - y).
+    A point adds its outcomes in increasing order, as a sum over the
+    sorted outcomes would, so probabilities keep those bits and counts
+    stay exact integers, whatever their size.  Its keys are the points
+    with a value above zero, as ints in increasing order; everything
+    else is ``OutcomeMap``'s.  A width n outside [1, MAX_EVAL_QUBITS],
+    or outcomes that are not the 2^n of an n-qubit register, are refused
+    with a ValueError.
     """
 
-    __slots__ = ("_probs",)
+    __slots__ = ()
 
-    def __init__(self, outcomes: ExactDistribution, n: int):
-        ys, weights = outcomes.outcomes, outcomes.marginal[outcomes.outcomes]
-        # bincount adds each bin's weights in input order, as ``_fold`` does.
-        probs = np.bincount(np.minimum(ys, 2**n - ys), weights, minlength=2 ** (n - 1) + 1)
-        probs.setflags(write=False)
-        self._probs = probs
+    def __init__(self, outcomes: OutcomeMap, n: int):
+        check_number("n", n, low=1, high=MAX_EVAL_QUBITS)
+        if outcomes.array.size != 2**n:
+            raise ValueError(f"n={n} folds the {2**n} outcomes of an n-qubit register, got {outcomes.array.size}")
+        array, half = outcomes.array, 2 ** (n - 1)
+        folded = array[: half + 1].copy()
+        folded[1:half] += array[:half:-1]  # y < half takes 2^n - y, from 2^n - 1 down
+        super().__init__(folded)
 
-    def __getitem__(self, y) -> float:
-        if isinstance(y, numbers.Integral) and 0 <= y < self._probs.size and self._probs[y]:
-            return float(self._probs[y])
-        raise KeyError(y)
+    def _index(self, y) -> int | None:
+        return int(y) if isinstance(y, numbers.Integral) and 0 <= y < self.array.size else None
 
-    def __iter__(self):
-        return iter(np.flatnonzero(self._probs).tolist())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._probs))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self)!r})"
+    def _key(self, y: int) -> int:
+        return y
 
 
 @dataclass(frozen=True)
 class ValueHistogram:
-    """Shot counts over the folded estimate grid, plus the exact
-    distribution when the backend can supply one."""
+    """Shot counts over the folded estimate grid, in increasing y, plus
+    the exact distribution when the backend can supply one."""
 
     n: int
     total_shots: int
@@ -305,18 +304,6 @@ class ValueHistogram:
             exact = None if self.exact is None else self.exact.get(y, 0.0)
             out.append((y, self.value(y), self.counts.get(y, 0), exact))
         return out
-
-
-def _fold(outcomes: dict[str, float], n: int) -> dict[int, float]:
-    """Sum register outcomes (bitstring keys, counts or probabilities) onto
-    their folded grid point y in [0, 2^(n-1)]."""
-    folded: dict[int, float] = {}
-    size = 2**n
-    for bits, weight in outcomes.items():
-        y = int(bits, 2)  # an n-bit outcome: fold_outcome's checks hold
-        y = min(y, size - y)
-        folded[y] = folded.get(y, 0) + weight
-    return folded
 
 
 def run_qpe(
@@ -356,7 +343,7 @@ def run_qpe(
         counts = apportion(exact, config.shots)
     else:
         measured = backend.counts(circ, config.shots, config.seed, qubits=register)
-        counts = _fold(measured.counts, config.n)
+        counts = dict(FoldedDistribution(measured.counts, config.n))
     return ValueHistogram(
         n=config.n,
         total_shots=config.shots,

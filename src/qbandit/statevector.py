@@ -5,7 +5,11 @@ Conventions used throughout the package:
 * Qubit 0 is the least-significant bit of the basis-state index, so the
   basis state with qubit 0 = a and qubit 1 = b has index a + 2*b.
 * Bitstrings render the basis index in binary, i.e. the rightmost
-  character is qubit 0.
+  character is qubit 0.  Inside the package an outcome is an integer:
+  the sampler and the noisy trajectories tally outcomes in arrays
+  indexed by outcome, and every count and every probability handed out
+  is an ``OutcomeMap`` over such an array, the one place that renders
+  a bitstring key (when it is iterated) or parses one (on lookup).
 * For multi-target gates, ``targets[0]`` is the least-significant bit of
   the gate-matrix index.
 
@@ -453,11 +457,12 @@ class Circuit:
 
     A builder declares its circuit's structure by giving ``runs`` instead
     of ``gates``: ``(segment, copies)`` pairs, each a sequence of gates
-    applied ``copies`` times back to back, held as tuples (an
-    ``_InverseQft`` segment stays one).  ``gates`` is then their flat
+    applied ``copies`` times back to back.  ``gates`` is then their flat
     list, and the runs shape only ``steps``; they take no part in
     equality.  A circuit given by ``gates`` has no structure to use, and
-    its plan is its gates.
+    its plan is its gates.  Whatever sequences the caller gives,
+    ``gates`` and each segment are held as tuples (an ``_InverseQft``
+    segment stays one) of ``Gate`` objects; anything else is refused.
     """
 
     num_qubits: int
@@ -468,6 +473,9 @@ class Circuit:
 
     def __post_init__(self):
         _check_width(self.num_qubits)
+        # A tuple of its own, so a later change to the caller's list
+        # cannot reach it.
+        object.__setattr__(self, "gates", tuple(self.gates))
         distinct = self.gates
         if self.runs is not None:
             if self.gates:
@@ -482,6 +490,8 @@ class Circuit:
         # Gates check their own qubits are non-negative; a circuit repeats
         # gate objects, so each distinct one is checked once.
         for gate in {id(g): g for g in distinct}.values():
+            if not isinstance(gate, Gate):
+                raise SimulationError(f"a circuit's gates must be Gate objects, got {gate!r}")
             if (qubits := gate.qubits) and max(qubits) >= self.num_qubits:
                 raise SimulationError(
                     f"gate {gate.kind} on qubits {gate.qubits} exceeds "
@@ -868,44 +878,58 @@ def _tally(marg: np.ndarray, words: np.ndarray) -> np.ndarray:
     return below[1:] - below[:-1]
 
 
-def _bitstring(outcome: int, marg: np.ndarray) -> str:
-    """Outcome index of ``marg`` rendered with one character per measured qubit."""
-    return format(int(outcome), f"0{marg.size.bit_length() - 1}b")
+class OutcomeMap(Mapping):
+    """A read-only mapping from an outcome's bitstring (qubits[0]
+    rightmost) to its value, held as ``array``, the values of every
+    outcome indexed by outcome: a marginal's Born probabilities or a tally
+    of shot counts.  It is the dict of its outcomes whose value is above
+    zero, with that dict's ``repr`` and ``==``, and each value comes out
+    as the Python float or int that ``.item()`` gives.
 
+    ``outcomes`` holds the outcomes in key order: those given at
+    construction (noisy counts give theirs in first-seen order), else
+    every nonzero outcome in increasing order.  ``array`` and
+    ``outcomes`` are read-only and never change.
 
-class ExactDistribution(Mapping):
-    """A read-only mapping from bitstring (qubits[0] rightmost) to Born
-    probability, zero outcomes left out, keys in increasing outcome order:
-    the dict ``{bits: float(p)}`` of the marginal, with its ``repr`` and
-    its ``==``, held as the marginal itself.
-
-    ``marginal`` is the read-only float64 array over every outcome and
-    ``outcomes`` the increasing indices of its nonzero entries, both set
-    at construction and never changed.  Keys are rendered only when the
-    mapping is iterated; a lookup parses its one key, so a key of the
-    wrong width, with a character other than 0 or 1, or not a string at
-    all is missing, as it is from the dict.
+    This class is the only place that knows the bitstring format: a key
+    is rendered (``_key``) only when something iterates the mapping, and
+    a lookup parses its one key (``_index``), so a key of the wrong
+    width, with a character other than 0 or 1, or not a string at all is
+    missing, as it is from the dict.  Everything else reads ``array`` by
+    outcome index.
     """
 
-    __slots__ = ("marginal", "outcomes")
+    __slots__ = ("array", "_order")
 
-    def __init__(self, marg: np.ndarray):
-        marg.setflags(write=False)
-        self.marginal = marg
-        self.outcomes = np.flatnonzero(marg > 0.0)
-        self.outcomes.setflags(write=False)
+    def __init__(self, array: np.ndarray, order: np.ndarray | None = None):
+        array.setflags(write=False)
+        self.array, self._order = array, order
 
-    def __getitem__(self, bits) -> float:
-        hash(bits)  # an unhashable key is a TypeError, as in a dict
-        width = self.marginal.size.bit_length() - 1
-        if isinstance(bits, str) and len(bits) == width and not bits.strip("01"):
-            p = self.marginal[int(bits, 2)]
-            if p > 0.0:
-                return float(p)
-        raise KeyError(bits)
+    @property
+    def outcomes(self) -> np.ndarray:
+        # Without an order, found on each use rather than kept, so that a
+        # kept histogram holds one array, not two.
+        order = np.flatnonzero(self.array > 0) if self._order is None else self._order
+        order.setflags(write=False)
+        return order
 
-    def __iter__(self) -> Iterator[str]:
-        return (_bitstring(m, self.marginal) for m in self.outcomes)
+    def _index(self, key) -> int | None:
+        """The outcome ``key`` names, or None."""
+        width = self.array.size.bit_length() - 1
+        return int(key, 2) if isinstance(key, str) and len(key) == width and not key.strip("01") else None
+
+    def _key(self, outcome: int) -> str:
+        return format(outcome, f"0{self.array.size.bit_length() - 1}b")
+
+    def __getitem__(self, key):
+        hash(key)  # an unhashable key is a TypeError, as in a dict
+        m = self._index(key)
+        if m is not None and self.array[m] > 0:
+            return self.array[m].item()
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator:
+        return map(self._key, self.outcomes.tolist())
 
     def __len__(self) -> int:
         return self.outcomes.size
@@ -914,23 +938,22 @@ class ExactDistribution(Mapping):
         return repr(dict(self))
 
 
-def exact_distribution(
-    state: StateVector, qubits: Iterable[int] | None = None
-) -> ExactDistribution:
+def exact_distribution(state: StateVector, qubits: Iterable[int] | None = None) -> OutcomeMap:
     """Marginal Born probabilities over the given qubits (default: all),
-    as a read-only ``ExactDistribution`` on the marginal array.
+    as a read-only ``OutcomeMap`` on the marginal array.
 
     Keys are bitstrings with qubits[0] rightmost; zero-probability
     outcomes are omitted.
     """
-    return ExactDistribution(_marginal(state.amps, state.num_qubits, qubits))
+    return OutcomeMap(_marginal(state.amps, state.num_qubits, qubits))
 
 
 @dataclass(frozen=True)
 class MeasurementCounts:
-    """Shot counts per measured bitstring."""
+    """Shot counts per measured bitstring: ``counts`` is an
+    ``OutcomeMap`` on the integer tally of every outcome."""
 
-    counts: dict[str, int]
+    counts: OutcomeMap
     total_shots: int
 
     def frequency(self, bitstring: str) -> float:
@@ -941,7 +964,7 @@ def _sample_tally(
     state: StateVector, shots: int, seed: int, qubits: Iterable[int] | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The marginal ``sample_counts`` samples and its tally, the count of
-    every outcome, from the same checks: the counts with no bitstring or
+    every outcome, from the same checks: the counts with no
     ``MeasurementCounts`` made."""
     check_number("shots", shots)
     check_seed("seed", seed, key=True)
@@ -968,9 +991,8 @@ def sample_counts(
     those of the per-shot inverse CDF.  Outcomes appear in increasing
     index order, those with no shot left out.
     """
-    marg, tally = _sample_tally(state, shots, seed, qubits)
-    counts = {_bitstring(m, marg): int(tally[m]) for m in np.flatnonzero(tally)}
-    return MeasurementCounts(counts, shots)
+    _, tally = _sample_tally(state, shots, seed, qubits)
+    return MeasurementCounts(OutcomeMap(tally), shots)
 
 
 def measure_all(state: StateVector, shots: int, seed: int) -> MeasurementCounts:

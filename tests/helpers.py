@@ -14,7 +14,6 @@ from qbandit.statevector import (
     _Fourier,
     _Step,
     _apply_matrix,
-    _bitstring,
     _marginal,
     derive_seed,
     h,
@@ -26,6 +25,13 @@ from qbandit.statevector import (
     x,
     z,
 )
+
+
+def bitstring(outcome: int, marg: np.ndarray) -> str:
+    """Outcome ``outcome`` of the marginal ``marg`` in binary, one
+    character per measured qubit, qubits[0] rightmost: the keys an
+    ``OutcomeMap`` renders, written out independently."""
+    return format(int(outcome), f"0{marg.size.bit_length() - 1}b")
 
 
 def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator) -> Circuit:
@@ -143,7 +149,7 @@ def reference_trajectory(circ: Circuit, config, seed: int, qubits=None, shot: in
     for j, u in enumerate(words):
         if u * 2.0**-53 < config.readout_flip:
             m ^= 1 << j
-    return _bitstring(m, marg)
+    return bitstring(m, marg)
 
 
 def reference_counts(circ: Circuit, shots: int, config, seed: int, qubits=None) -> dict[str, int]:
@@ -245,7 +251,7 @@ def reference_tally(marg: np.ndarray, uniforms: np.ndarray) -> dict[str, int]:
     cdf = np.cumsum(marg)
     cdf[-1] = 1.0
     values, reps = np.unique(np.searchsorted(cdf, uniforms, side="right"), return_counts=True)
-    return {_bitstring(m, marg): int(c) for m, c in zip(values, reps)}
+    return {bitstring(m, marg): int(c) for m, c in zip(values, reps)}
 
 
 def reference_sample_counts(state, shots: int, seed: int, qubits=None) -> dict[str, int]:
@@ -258,7 +264,7 @@ def reference_exact_distribution(state, qubits=None) -> dict[str, float]:
     """The dict ``statevector.exact_distribution`` stands for: every
     nonzero outcome's bitstring, in increasing order, to its probability."""
     marg = _marginal(state.amps, state.num_qubits, qubits)
-    return {_bitstring(m, marg): float(p) for m, p in enumerate(marg) if p > 0.0}
+    return {bitstring(m, marg): float(p) for m, p in enumerate(marg) if p > 0.0}
 
 
 def reference_folded(outcomes: dict[str, float], n: int) -> np.ndarray:
@@ -267,6 +273,14 @@ def reference_folded(outcomes: dict[str, float], n: int) -> np.ndarray:
     ys = np.array([int(bits, 2) for bits in outcomes], dtype=np.intp)
     weights = np.fromiter(outcomes.values(), dtype=float, count=len(outcomes))
     return np.bincount(np.minimum(ys, 2**n - ys), weights, minlength=2 ** (n - 1) + 1)
+
+
+def reference_folded_dict(outcomes: dict[str, float], n: int) -> dict[int, float]:
+    """``reference_folded`` as the dict of its nonzero grid points, in
+    increasing order: what ``run_qpe`` keeps of folded counts, and what a
+    ``FoldedDistribution`` stands for."""
+    grid = reference_folded(outcomes, n)
+    return {y: grid[y].item() for y in np.flatnonzero(grid).tolist()}
 
 
 def mp_folded_distribution(policy, params, n: int) -> list:

@@ -73,6 +73,6 @@ def test_equal_angle_qpe_matches_its_flat_copy_and_the_closed_form(p_left, theta
     flat = Circuit(circ.num_qubits, circ.gates)
     assert circ.runs is not None and flat.steps is flat.gates
     assert np.abs(circ.final_state.amps - flat.final_state.amps).max() < 1e-12
-    dist = exact_distribution(circ.final_state, eval_qubits(n)).marginal
+    dist = exact_distribution(circ.final_state, eval_qubits(n)).array
     folded = np.bincount(np.minimum(np.arange(2**n), 2**n - np.arange(2**n)), dist, minlength=2 ** (n - 1) + 1)
     assert np.abs(folded - folded_distribution(policy_value(policy, params), n)).max() < 1e-9

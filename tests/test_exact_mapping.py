@@ -2,7 +2,7 @@
 is the dict of nonzero outcomes, key for key, bit for bit, in order and in
 ``repr``, and a folded QPE distribution read from the array is the one
 the bitstring parse gave.  Keys are rendered only when something iterates
-them, so ideal QPE renders no more of them than its sampled counts hold."""
+them, so QPE renders none."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_exact_distribution, reference_folded
-from qbandit import statevector
-from qbandit.backends import ExactOracleBackend, IdealBackend
+from qbandit.backends import ExactOracleBackend
 from qbandit.bandit import BanditParams, PolicySpec
 from qbandit.qpe import (
     FoldedDistribution,
@@ -22,7 +21,7 @@ from qbandit.qpe import (
     eval_qubits,
     run_qpe,
 )
-from qbandit.statevector import StateVector, exact_distribution
+from qbandit.statevector import OutcomeMap, StateVector, exact_distribution
 
 ANGLE = st.floats(0.0, np.pi)
 
@@ -89,7 +88,7 @@ def test_the_mapping_is_the_dict_of_nonzero_outcomes(case):
     assert repr(got) == repr(want) and str(got) == str(want)
     assert got == want and want == got and not got != want and not want != got
     assert got == exact_distribution(state, qubits)
-    width = got.marginal.size.bit_length() - 1
+    width = got.array.size.bit_length() - 1
     for key in probe_keys(width):
         assert lookup(got, key) == lookup(want, key), key
 
@@ -98,12 +97,12 @@ def test_the_mapping_is_the_dict_of_nonzero_outcomes(case):
 @given(states_and_subsets())
 def test_the_backing_arrays_are_read_only(case):
     got = exact_distribution(*case)
-    for array in (got.marginal, got.outcomes):
+    for array in (got.array, got.outcomes):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1
     with pytest.raises(TypeError):
-        got["0" * got.marginal.size.bit_length()] = 1.0
+        got["0" * got.array.size.bit_length()] = 1.0
 
 
 def test_a_changed_entry_makes_the_mapping_unequal():
@@ -136,24 +135,23 @@ def test_the_fold_from_the_array_is_the_fold_of_the_parsed_dict(p_left, theta_le
 
 def counting_renders(monkeypatch):
     renders = []
-    render = statevector._bitstring
+    render = OutcomeMap._key
 
-    def counting(outcome, marg):
+    def counting(self, outcome):
         renders.append(outcome)
-        return render(outcome, marg)
+        return render(self, outcome)
 
-    monkeypatch.setattr(statevector, "_bitstring", counting)
+    monkeypatch.setattr(OutcomeMap, "_key", counting)
     return renders
 
 
 def test_ideal_qpe_renders_only_its_sampled_outcomes(monkeypatch):
+    """It renders none: ``run_qpe`` folds the counts from their tally."""
     policy, params, config = PolicySpec(0.3), BanditParams(1.1, 2.2), QpeConfig(n=10, shots=300)
-    circ = build_qpe_circuit(build_grover_operator(build_state_prep(policy, params)), config.n)
-    sampled = IdealBackend().counts(circ, config.shots, config.seed, eval_qubits(config.n)).counts
     renders = counting_renders(monkeypatch)
-    run_qpe(policy, params, config)
-    assert sorted(renders) == sorted(int(bits, 2) for bits in sampled)
-    assert len(renders) < 2**config.n
+    hist = run_qpe(policy, params, config)
+    assert renders == []
+    assert sum(hist.counts.values()) == 300
 
 
 def test_oracle_qpe_renders_no_key(monkeypatch):

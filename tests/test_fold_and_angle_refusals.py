@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from qbandit.bandit import reward_probability
-from qbandit.qpe import _fold, fold_outcome, outcome_to_value
+from qbandit.qpe import FoldedDistribution, fold_outcome, outcome_to_value
+from qbandit.statevector import OutcomeMap
 
 
 @pytest.mark.parametrize(
@@ -52,9 +53,11 @@ def test_fold_outcome_keeps_every_register_outcome(n):
 
 
 def test_fold_checks_no_outcome(monkeypatch):
-    """``_fold`` sees register outcomes only, so it folds them inline."""
+    """``FoldedDistribution`` sees register outcomes only, so it folds
+    them inline."""
     monkeypatch.setattr("qbandit.qpe.fold_outcome", None)
-    assert _fold({"000": 0.25, "111": 0.5, "001": 0.25}, 3) == {0: 0.25, 1: 0.75}
+    outcomes = OutcomeMap(np.array([0.25, 0.25, 0, 0, 0, 0, 0, 0.5]))  # 000, 001 and 111
+    assert FoldedDistribution(outcomes, 3) == {0: 0.25, 1: 0.75}
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit, reference_counts, reference_trajectory
+from helpers import random_circuit, reference_counts, reference_folded_dict, reference_trajectory
 from qbandit import noise
 from qbandit.bandit import BanditParams, PolicySpec, angle_from_frequency
 from qbandit.noise import (
@@ -23,7 +23,6 @@ from qbandit.noise import (
 )
 from qbandit.qpe import (
     QpeConfig,
-    _fold,
     build_grover_operator,
     build_qpe_circuit,
     build_state_prep,
@@ -185,5 +184,5 @@ def test_noisy_qpe_matches_reference(n, rates):
     circ = build_qpe_circuit(build_grover_operator(build_state_prep(policy, params)), n)
     if n == 4:
         assert len(circ) == 276
-    want = _fold(reference_counts(circ, 150, config.noise, 11, eval_qubits(n)), n)
+    want = reference_folded_dict(reference_counts(circ, 150, config.noise, 11, eval_qubits(n)), n)
     assert list(run_qpe(policy, params, config).counts.items()) == list(want.items())

@@ -1,6 +1,7 @@
 """Noisy shots are tallied as integer outcomes: the counts keep the
 first-seen order of the shot-by-shot loop across chunk boundaries, and a
-bitstring is rendered once per distinct outcome, not once per shot."""
+bitstring is rendered only when the counts are iterated, once per
+distinct outcome, never per shot."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from helpers import random_circuit, reference_counts
 from qbandit import noise
 from qbandit.noise import NoiseConfig, noisy_counts
-from qbandit.statevector import Circuit, h
+from qbandit.statevector import Circuit, OutcomeMap, h
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3, 7])
@@ -24,15 +25,17 @@ def test_first_seen_order_holds_across_chunks(monkeypatch, per_chunk):
 
 
 def test_bitstrings_are_rendered_per_outcome_not_per_shot(monkeypatch):
+    """None while the counts are made; one per outcome when they are
+    iterated."""
     renders = []
 
-    def counting(outcome, marg):
+    def counting(self, outcome):
         renders.append(outcome)
-        return render(outcome, marg)
+        return render(self, outcome)
 
-    render = noise._bitstring
-    monkeypatch.setattr(noise, "_bitstring", counting)
+    render = OutcomeMap._key
+    monkeypatch.setattr(OutcomeMap, "_key", counting)
     got = noisy_counts(Circuit(1, (h(0),)), 8000, NoiseConfig(), 2)
-    chunks = -(-8000 // max(1, noise._CHUNK_AMPS >> 1))
+    assert renders == []
     assert sum(got.counts.values()) == 8000
-    assert 0 < len(renders) <= len(got.counts) * chunks
+    assert sorted(renders) == [0, 1] and len(got.counts) == 2

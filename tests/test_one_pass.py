@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_folded_dict
 from qbandit import statevector
 from qbandit.backends import ExactOracleBackend, IdealBackend, apportion
 from qbandit.bandit import BanditParams, PolicySpec
 from qbandit.qpe import (
     QpeConfig,
-    _fold,
     build_grover_operator,
     build_qpe_circuit,
     build_state_prep,
@@ -41,12 +41,12 @@ def two_pass(p_left, theta_left, theta_right, config, oracle):
     def simulate():
         return apply_circuit(new_state(circ.num_qubits), circ)
 
-    exact = _fold(exact_distribution(simulate(), register), config.n)
+    exact = reference_folded_dict(exact_distribution(simulate(), register), config.n)
     if oracle:
         counts = apportion(exact, config.shots)
     else:
         measured = sample_counts(simulate(), config.shots, config.seed, register)
-        counts = _fold(measured.counts, config.n)
+        counts = reference_folded_dict(measured.counts, config.n)
     return counts, exact
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bitstring,
     fresh_uniforms,
     reference_dataset,
     reference_mc_estimate,
@@ -21,7 +22,7 @@ from helpers import (
 from qbandit import statevector
 from qbandit.baseline import monte_carlo_estimate
 from qbandit.bandit import BanditParams, PolicySpec, reward_probability
-from qbandit.statevector import _PHILOX, StateVector, _bitstring, _tally, sample_counts
+from qbandit.statevector import _PHILOX, StateVector, _tally, sample_counts
 from qbandit.training import synthesize_dataset
 
 SEEDS = st.one_of(
@@ -62,7 +63,7 @@ def make_state(width: int, kind: str, rng: np.random.Generator) -> StateVector:
 
 
 def as_counts(marg: np.ndarray, tally: np.ndarray) -> dict[str, int]:
-    return {_bitstring(m, marg): int(c) for m, c in enumerate(tally) if c}
+    return {bitstring(m, marg): int(c) for m, c in enumerate(tally) if c}
 
 
 @settings(max_examples=300, deadline=None)

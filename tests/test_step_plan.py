@@ -13,14 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_same_steps, gate_by_gate, random_circuit, run_steps, traced_bytes
+from helpers import assert_same_steps, gate_by_gate, random_circuit, reference_folded_dict, run_steps, traced_bytes
 from qbandit import noise, statevector
 from qbandit.backends import apportion
 from qbandit.bandit import Arm, BanditParams, PolicySpec, build_arm_circuit, policy_value
 from qbandit.noise import NoiseConfig, run_trajectory
 from qbandit.qpe import (
     QpeConfig,
-    _fold,
     build_grover_operator,
     build_qpe_circuit,
     build_state_prep,
@@ -144,7 +143,7 @@ def test_a_noisy_trajectory_takes_each_narrow_run_as_one_step(monkeypatch):
 def test_the_exact_distribution_is_a_compact_read_only_mapping():
     circ = qpe_circuit(0.6, 0.7, 2.5, 5)
     hist = run_qpe(PolicySpec(0.6), BanditParams(0.7, 2.5), QpeConfig(n=5, shots=300))
-    folded = _fold(exact_distribution(circ.final_state, eval_qubits(5)), 5)
+    folded = reference_folded_dict(exact_distribution(circ.final_state, eval_qubits(5)), 5)
     assert hist.exact == folded and folded == hist.exact
     assert sorted(hist.exact.items()) == sorted(folded.items())
     assert all(type(y) is int and type(p) is float for y, p in hist.exact.items())
